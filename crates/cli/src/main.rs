@@ -39,8 +39,8 @@
 //!   trace-gen <benchmark>           populate the content-addressed trace cache
 //!                                   (--trace-dir DIR or $FETCHVP_TRACE_DIR;
 //!                                   --out FILE streams to a plain file instead)
-//!   trace-info <file>               print a saved trace's statistics (streams
-//!                                   chunked stores; legacy FVPT still readable)
+//!   trace-info <file.fvps>          print a saved trace's statistics (streams
+//!                                   the chunked store)
 //!   run-asm <file.s>                assemble, trace and simulate a program
 //!
 //! out-of-core runs: every experiment accepts --trace-dir DIR (default
@@ -94,7 +94,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
 use std::sync::Arc;
@@ -108,10 +108,9 @@ use fetchvp_experiments::{
 };
 use fetchvp_isa::parse_program;
 use fetchvp_metrics::Json;
-use fetchvp_trace::{read_trace, trace_program};
+use fetchvp_trace::trace_program;
 use fetchvp_tracestore::{
     stream_program_to_store, stream_store_stats, TraceDir, TraceKey, TraceStore, DEFAULT_CHUNK_LEN,
-    MAGIC,
 };
 use fetchvp_workloads::{by_name, WorkloadParams};
 
@@ -125,7 +124,7 @@ ablations:   ablation-banks ablation-window ablation-confidence \
              ablation-fetch ablation-penalty ablation-tc ablation-hints
              ablation-model ablation-seeds ablations
 trace files: save-trace <benchmark> <file> / trace-gen <benchmark> \
-             [--trace-dir DIR | --out FILE] / trace-info <file> / run-asm <file.s>
+             [--trace-dir DIR | --out FILE] / trace-info <file.fvps> / run-asm <file.s>
 tracing:     trace-viz <workload> [--cycles A..B] [--out FILE]
 benchmarks:  bench [--quick] [--repeat N] [--out FILE] / bench-compare \
              <old.json> <new.json> [--threshold PCT] / profile
@@ -135,7 +134,7 @@ serving:     serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--trace-d
              top [--addr HOST:PORT] [--interval SECONDS] [--count N]
 fuzzing:     fuzz [--cases N] [--seed S] [--max-len N] [--replay TUPLE] [--out FILE]
              atlas [family] [--trace-len N]
-other:       --version";
+other:       --version / --help";
 
 /// Every subcommand, for `did you mean …` suggestions on typos.
 const COMMANDS: &[&str] = &[
@@ -712,31 +711,20 @@ fn trace_gen(cfg: &ExperimentConfig, opts: &Options) -> Result<(), String> {
 
 fn trace_info(args: &[String]) -> Result<(), String> {
     let [path] = args else {
-        return Err("trace-info needs: <file>".into());
+        return Err("trace-info needs: <file.fvps>".into());
     };
-    let mut file = File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-    let mut magic = [0u8; 4];
-    use std::io::Read;
-    let is_store = file.read_exact(&mut magic).is_ok() && &magic == MAGIC;
-    if is_store {
-        // Chunked store: stats stream per chunk, so a 100M-instruction
-        // file is summarized in bounded memory.
-        let store = TraceStore::open(path).map_err(|e| format!("read failed: {e}"))?;
-        let stats = stream_store_stats(&store).map_err(|e| format!("read failed: {e}"))?;
-        println!("trace `{}` ({:?})", store.name(), store.outcome());
-        println!(
-            "chunked store: {} chunk(s) of <= {} instructions",
-            store.chunks().len(),
-            store.chunk_target()
-        );
-        println!("{stats}");
-        return Ok(());
-    }
-    use std::io::Seek;
-    file.rewind().map_err(|e| format!("cannot rewind `{path}`: {e}"))?;
-    let trace = read_trace(BufReader::new(file)).map_err(|e| format!("read failed: {e}"))?;
-    println!("trace `{}` ({:?})", trace.name(), trace.outcome());
-    println!("{}", trace.stats());
+    // Stats stream per chunk, so a 100M-instruction store is summarized
+    // in bounded memory.
+    let store = TraceStore::open(path)
+        .map_err(|e| format!("`{path}` is not a readable .fvps trace store: {e}"))?;
+    let stats = stream_store_stats(&store).map_err(|e| format!("read failed: {e}"))?;
+    println!("trace `{}` ({:?})", store.name(), store.outcome());
+    println!(
+        "chunked store: {} chunk(s) of <= {} instructions",
+        store.chunks().len(),
+        store.chunk_target()
+    );
+    println!("{stats}");
     Ok(())
 }
 
@@ -1081,10 +1069,20 @@ fn run_one(name: &str, sweep: &Sweep, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// What `--version`/`-V` and `--help`/`-h`/`help` print in place of a
+/// run; `None` for every other invocation.
+fn informational(args: &[String]) -> Option<String> {
+    if args.iter().any(|a| a == "--version" || a == "-V") {
+        return Some(format!("fetchvp {}", env!("CARGO_PKG_VERSION")));
+    }
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
+    (help || args.first().is_some_and(|a| a == "help")).then(|| USAGE.to_string())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("fetchvp {}", env!("CARGO_PKG_VERSION"));
+    if let Some(text) = informational(&args) {
+        println!("{text}");
         return ExitCode::SUCCESS;
     }
     let options = match parse_args(&args)
@@ -1213,6 +1211,23 @@ mod tests {
         assert!(USAGE.contains("loadgen"));
         assert!(USAGE.contains("--peers"));
         assert!(USAGE.contains("--version"));
+    }
+
+    #[test]
+    fn help_and_version_print_in_place_of_a_run() {
+        let info =
+            |args: &[&str]| informational(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        for help in [&["--help"][..], &["-h"], &["help"], &["fig3-1", "--help"]] {
+            assert_eq!(info(help).as_deref(), Some(USAGE), "{help:?}");
+        }
+        let version = format!("fetchvp {}", env!("CARGO_PKG_VERSION"));
+        assert_eq!(info(&["--version"]), Some(version.clone()));
+        assert_eq!(info(&["-V", "--help"]), Some(version), "--version wins");
+        // `help` is only a subcommand in first position: elsewhere it is
+        // an ordinary positional (a file name, say).
+        assert_eq!(info(&["trace-info", "help"]), None);
+        assert_eq!(info(&["fig3-1"]), None);
+        assert_eq!(info(&[]), None);
     }
 
     #[test]
@@ -1451,7 +1466,7 @@ mod tests {
     }
 
     #[test]
-    fn save_trace_writes_chunked_stores_and_trace_info_reads_both_formats() {
+    fn save_trace_writes_chunked_stores_and_trace_info_rejects_other_formats() {
         let dir = std::env::temp_dir().join(format!("fetchvp-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store_path = dir.join("go.fvps");
@@ -1459,16 +1474,14 @@ mod tests {
             .unwrap();
         save_trace(&o.config, &o.positionals).unwrap();
         let magic = &std::fs::read(&store_path).unwrap()[..4];
-        assert_eq!(magic, MAGIC, "save-trace must write the chunked format");
+        assert_eq!(magic, fetchvp_tracestore::MAGIC, "save-trace must write the chunked format");
         trace_info(&[store_path.to_str().unwrap().to_string()]).unwrap();
 
-        // The legacy FVPT format stays readable.
-        let legacy_path = dir.join("go-legacy.bin");
-        let workload = by_name("go", &o.config.workloads).unwrap();
-        let trace = trace_program(workload.program(), 500);
-        let file = File::create(&legacy_path).unwrap();
-        fetchvp_trace::write_trace(&trace, BufWriter::new(file)).unwrap();
-        trace_info(&[legacy_path.to_str().unwrap().to_string()]).unwrap();
+        // Anything else is refused, naming the format trace-info expects.
+        let other_path = dir.join("go.txt");
+        std::fs::write(&other_path, "not a trace store").unwrap();
+        let err = trace_info(&[other_path.to_str().unwrap().to_string()]).unwrap_err();
+        assert!(err.contains("not a readable .fvps trace store"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,11 +14,11 @@
 //! progress bar fed by the same totals that `GET /jobs/<id>/events`
 //! streams.
 
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::Write;
 use std::time::Duration;
 
 use fetchvp_metrics::Json;
+use fetchvp_server::http::client::{self, Timeouts};
 
 /// ANSI: clear the screen and home the cursor — the redraw between
 /// refreshes.
@@ -46,28 +46,13 @@ impl Default for TopOptions {
 
 /// One blocking `GET /fleet/metrics` against `addr`, parsed.
 fn fetch(addr: &str) -> Result<Json, String> {
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve `{addr}`: {e}"))?
-        .next()
-        .ok_or_else(|| format!("cannot resolve `{addr}`"))?;
-    let mut stream = TcpStream::connect_timeout(&target, Duration::from_secs(2))
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    stream.set_write_timeout(Some(Duration::from_secs(5))).ok();
-    let head = format!("GET /fleet/metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes()).map_err(|e| format!("write to {addr} failed: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read from {addr} failed: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, body) =
-        text.split_once("\r\n\r\n").ok_or_else(|| format!("{addr}: malformed response"))?;
-    let status =
-        head.strip_prefix("HTTP/1.1 ").and_then(|rest| rest.split(' ').next()).unwrap_or("<none>");
-    if status != "200" {
-        return Err(format!("{addr}: /fleet/metrics answered {status}"));
+    let timeouts = Timeouts { connect: Duration::from_secs(2), io: Duration::from_secs(5) };
+    let reply = client::exchange(addr, "GET", "/fleet/metrics", &[], b"", timeouts)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    if reply.status != 200 {
+        return Err(format!("{addr}: /fleet/metrics answered {}", reply.status));
     }
-    Json::parse(body).map_err(|e| format!("{addr}: bad fleet snapshot: {e}"))
+    Json::parse(&reply.body).map_err(|e| format!("{addr}: bad fleet snapshot: {e}"))
 }
 
 /// Sum of every counter under `prefix.` in a member document (e.g.

@@ -1,15 +1,15 @@
-//! A minimal HTTP/1.1 request reader and response writer over
-//! [`TcpStream`].
+//! The daemon's HTTP/1.1 subset: the incremental request parser the
+//! event loop feeds, the response and chunked-stream encoders, and
+//! [`client`], the one blocking client every outgoing request goes
+//! through (fleet hops, health probes, `loadgen`, `fetchvp top`).
 //!
-//! The daemon speaks just enough HTTP for `curl`, browsers and raw
-//! `TcpStream` test clients: one request per connection (`Connection:
-//! close` is always sent back), `Content-Length` bodies only (no chunked
-//! transfer encoding), and hard caps on header-block and body sizes so an
-//! adversarial peer cannot balloon memory. Read/write deadlines come from
-//! the socket timeouts the caller sets before handing the stream over.
+//! The daemon speaks just enough HTTP for `curl`, browsers and [`client`]:
+//! one request per connection (`Connection: close` is always sent back),
+//! `Content-Length` bodies only (no chunked request bodies), and hard caps
+//! on header-block and body sizes so an adversarial peer cannot balloon
+//! memory.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 
 /// Maximum bytes of request line + headers accepted before `431`-style
 /// rejection (we answer `413` — close enough for a five-endpoint API).
@@ -47,12 +47,6 @@ pub enum RequestError {
     TooLarge(&'static str),
     /// The bytes were not parseable HTTP → `400`.
     Malformed(&'static str),
-}
-
-impl From<io::Error> for RequestError {
-    fn from(e: io::Error) -> RequestError {
-        RequestError::Io(e)
-    }
 }
 
 /// Attempts to parse one complete request from an accumulating buffer —
@@ -113,31 +107,6 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
     }
     let body = after_head[..content_length].to_vec();
     Ok(Some(Request { method: method.to_string(), path: path.to_string(), headers, body }))
-}
-
-/// Reads one request from a blocking stream, honouring the stream's read
-/// timeout and capping the body at `max_body` bytes.
-///
-/// This is the synchronous counterpart of [`try_parse`], used by unit
-/// tests and the non-Unix threaded fallback; the event loop feeds
-/// `try_parse` directly from readiness callbacks.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(request) = try_parse(&buf, max_body)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(RequestError::Malformed(if find_head_end(&buf).is_some() {
-                "connection closed mid-body"
-            } else {
-                "connection closed mid-request"
-            }));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -218,12 +187,6 @@ impl Response {
         bytes.extend_from_slice(self.body.as_bytes());
         bytes
     }
-
-    /// Serializes the response (with `Connection: close`) onto the stream.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.write_all(&self.to_bytes())?;
-        stream.flush()
-    }
 }
 
 /// The standard reason phrase for a status code.
@@ -282,20 +245,323 @@ pub fn error_body(message: &str) -> String {
     .to_json()
 }
 
+pub mod client {
+    //! The one blocking HTTP/1.1 client: fleet proxy hops and health
+    //! probes, `loadgen`, `fetchvp top`, the examples and the end-to-end
+    //! tests all send their requests through it.
+    //!
+    //! Every request is one `Connection: close` exchange on a fresh
+    //! socket. The reply is read to EOF, capped at [`MAX_RESPONSE_BYTES`],
+    //! and parsed by [`parse_reply`]. Timeouts stay with the caller,
+    //! because a health probe and a load generator want very different
+    //! patience.
+
+    use std::fmt;
+    use std::io::{self, Read, Write};
+    use std::net::{TcpStream, ToSocketAddrs};
+    use std::time::Duration;
+
+    /// The most bytes [`read_reply`] accepts for one reply, head included.
+    ///
+    /// Sized from measured bodies of `fetchvp serve` at the default trace
+    /// length: the largest single document is a finished `bench` job's
+    /// `GET /jobs/<id>` (26.5 KB); one member's share of `/fleet/metrics`
+    /// with a full default queue (32 live jobs) is 17 KB. 4 MiB is over
+    /// 150× the former and covers a merge across some 240 such members.
+    pub const MAX_RESPONSE_BYTES: usize = 4 << 20;
+
+    /// How long to wait for the connection, then for each read or write.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Timeouts {
+        /// Connect timeout.
+        pub connect: Duration,
+        /// Read and write timeout on the established socket.
+        pub io: Duration,
+    }
+
+    /// Why an exchange failed.
+    #[derive(Debug)]
+    pub enum Error {
+        /// Resolving, connecting, reading or writing failed (timeouts
+        /// included).
+        Io(io::Error),
+        /// The reply ran past [`MAX_RESPONSE_BYTES`].
+        TooLarge,
+        /// The reply was not the HTTP/1.1 this client understands.
+        Malformed(&'static str),
+    }
+
+    impl fmt::Display for Error {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Error::Io(e) => write!(f, "{e}"),
+                Error::TooLarge => write!(f, "reply exceeds {MAX_RESPONSE_BYTES} bytes"),
+                Error::Malformed(why) => write!(f, "malformed reply: {why}"),
+            }
+        }
+    }
+
+    impl std::error::Error for Error {}
+
+    impl From<io::Error> for Error {
+        fn from(e: io::Error) -> Error {
+            Error::Io(e)
+        }
+    }
+
+    /// One parsed reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Reply {
+        /// HTTP status code.
+        pub status: u16,
+        /// Headers in wire order as `(name, value)`, values trimmed.
+        pub headers: Vec<(String, String)>,
+        /// The body: `Content-Length` bytes when the header is present,
+        /// otherwise everything up to EOF.
+        pub body: String,
+    }
+
+    impl Reply {
+        /// The first value of a header, looked up case-insensitively.
+        pub fn header(&self, name: &str) -> Option<&str> {
+            self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+        }
+    }
+
+    /// Connects to `addr` (`host:port`), sets the timeouts and `nodelay`,
+    /// and writes one `Connection: close` request carrying `headers` and
+    /// `body`. Returns the socket for the caller to read the reply from —
+    /// with [`read_reply`], or incrementally for a streamed response.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when `addr` does not resolve, the connect times out
+    /// or the write fails.
+    pub fn send(
+        addr: &str,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        timeouts: Timeouts,
+    ) -> Result<TcpStream, Error> {
+        let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("`{addr}` resolves to no address"))
+        })?;
+        let mut stream = TcpStream::connect_timeout(&target, timeouts.connect)?;
+        stream.set_read_timeout(Some(timeouts.io))?;
+        stream.set_write_timeout(Some(timeouts.io))?;
+        stream.set_nodelay(true)?;
+        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
+        for (name, value) in headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str(&format!("Content-Length: {}\r\nConnection: close\r\n\r\n", body.len()));
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(body);
+        stream.write_all(&bytes)?;
+        Ok(stream)
+    }
+
+    /// [`send`] followed by [`read_reply`]: one whole request/reply
+    /// exchange.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`] and [`read_reply`].
+    pub fn exchange(
+        addr: &str,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        timeouts: Timeouts,
+    ) -> Result<Reply, Error> {
+        read_reply(send(addr, method, path, headers, body, timeouts)?)
+    }
+
+    /// Reads a reply to EOF and parses it, stopping with
+    /// [`Error::TooLarge`] as soon as it runs past [`MAX_RESPONSE_BYTES`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] on a read failure or timeout, [`Error::TooLarge`]
+    /// past the cap, and [`parse_reply`]'s errors.
+    pub fn read_reply(stream: TcpStream) -> Result<Reply, Error> {
+        let mut raw = Vec::new();
+        stream.take(MAX_RESPONSE_BYTES as u64 + 1).read_to_end(&mut raw)?;
+        if raw.len() > MAX_RESPONSE_BYTES {
+            return Err(Error::TooLarge);
+        }
+        parse_reply(&raw)
+    }
+
+    /// Parses one complete reply: the status line, the headers, and a body
+    /// delimited by `Content-Length` (or by EOF when there is none).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Malformed`] for a missing head terminator, a bad status
+    /// line or `Content-Length`, a body shorter than its `Content-Length`,
+    /// or non-UTF-8 text.
+    pub fn parse_reply(raw: &[u8]) -> Result<Reply, Error> {
+        let head_end = super::find_head_end(raw).ok_or(Error::Malformed("no end of head"))?;
+        let head = std::str::from_utf8(&raw[..head_end])
+            .map_err(|_| Error::Malformed("head is not UTF-8"))?;
+        let mut lines = head.split("\r\n");
+        let mut status_line = lines.next().unwrap_or("").split(' ');
+        let status = match (status_line.next(), status_line.next()) {
+            (Some(version), Some(code))
+                if version.starts_with("HTTP/1.")
+                    && code.len() == 3
+                    && code.bytes().all(|b| b.is_ascii_digit()) =>
+            {
+                code.parse().map_err(|_| Error::Malformed("bad status line"))?
+            }
+            _ => return Err(Error::Malformed("bad status line")),
+        };
+        let headers: Vec<(String, String)> = lines
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name.trim().to_string(), value.trim().to_string()))
+            .collect();
+        let rest = &raw[head_end + 4..];
+        let body = match headers.iter().find(|(n, _)| n.eq_ignore_ascii_case("content-length")) {
+            Some((_, len)) => {
+                let len: usize = len.parse().map_err(|_| Error::Malformed("bad Content-Length"))?;
+                rest.get(..len).ok_or(Error::Malformed("body shorter than Content-Length"))?
+            }
+            None => rest,
+        };
+        let body =
+            String::from_utf8(body.to_vec()).map_err(|_| Error::Malformed("body is not UTF-8"))?;
+        Ok(Reply { status, headers, body })
+    }
+
+    #[cfg(test)]
+    pub(crate) mod tests {
+        use super::*;
+        use crate::http::{error_body, try_parse, Request, Response};
+        use std::net::TcpListener;
+        use std::thread::JoinHandle;
+
+        /// Test timeouts: generous, so a loaded machine never flakes.
+        pub(crate) const TIMEOUTS: Timeouts =
+            Timeouts { connect: Duration::from_secs(5), io: Duration::from_secs(30) };
+
+        /// A scripted loopback peer: accepts one connection, reads one
+        /// whole request, answers `reply` verbatim and hangs up. The
+        /// handle yields the request it read.
+        pub(crate) fn serve_once(reply: Vec<u8>) -> (String, JoinHandle<Request>) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let handle = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 4096];
+                let request = loop {
+                    if let Some(request) = try_parse(&buf, 1 << 20).unwrap() {
+                        break request;
+                    }
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client hung up mid-request");
+                    buf.extend_from_slice(&chunk[..n]);
+                };
+                // The client may hang up early (the cap test); that is
+                // the point, not an error.
+                let _ = stream.write_all(&reply);
+                request
+            });
+            (addr, handle)
+        }
+
+        /// A `200` whose body is `body_len` bytes of `x`.
+        pub(crate) fn reply_with_body(body_len: usize) -> Vec<u8> {
+            let mut reply = format!("HTTP/1.1 200 OK\r\nContent-Length: {body_len}\r\n\r\n");
+            reply.push_str(&"x".repeat(body_len));
+            reply.into_bytes()
+        }
+
+        #[test]
+        fn exchange_speaks_the_servers_dialect() {
+            let answer = Response::retry_after(503, error_body("queue full"), 3);
+            let (addr, peer) = serve_once(answer.to_bytes());
+            let reply =
+                exchange(&addr, "POST", "/run", &[("X-Thing", "1")], b"{\"a\": 1}", TIMEOUTS)
+                    .unwrap();
+            // The server's own parser accepts what the client sent…
+            let request = peer.join().unwrap();
+            assert_eq!((request.method.as_str(), request.path.as_str()), ("POST", "/run"));
+            assert_eq!(request.body, b"{\"a\": 1}");
+            assert_eq!(request.header("x-thing"), Some("1"));
+            assert_eq!(request.header("host"), Some(addr.as_str()));
+            assert_eq!(request.header("connection"), Some("close"));
+            // …and the client reads back what the server encodes.
+            assert_eq!(reply.status, 503);
+            assert_eq!(reply.header("retry-after"), Some("3"));
+            assert_eq!(reply.header("CONTENT-TYPE"), Some("application/json"));
+            assert_eq!(reply.body, answer.body);
+        }
+
+        #[test]
+        fn replies_past_the_cap_are_too_large() {
+            // Exactly at the cap (head included) still parses…
+            let head_len = reply_with_body(MAX_RESPONSE_BYTES).len() - MAX_RESPONSE_BYTES;
+            let at_cap = reply_with_body(MAX_RESPONSE_BYTES - head_len);
+            assert_eq!(at_cap.len(), MAX_RESPONSE_BYTES);
+            let (addr, peer) = serve_once(at_cap);
+            let reply = exchange(&addr, "GET", "/big", &[], b"", TIMEOUTS).unwrap();
+            assert_eq!(reply.body.len(), MAX_RESPONSE_BYTES - head_len);
+            peer.join().unwrap();
+            // …one byte past it is a typed error, not a bigger buffer.
+            let (addr, peer) = serve_once(reply_with_body(MAX_RESPONSE_BYTES + 1));
+            let err = exchange(&addr, "GET", "/big", &[], b"", TIMEOUTS).unwrap_err();
+            assert!(matches!(err, Error::TooLarge), "{err}");
+            peer.join().unwrap();
+        }
+
+        #[test]
+        fn parse_reply_rejects_what_it_cannot_frame() {
+            let cases: [(&[u8], &str); 7] = [
+                (b"HTTP/1.1 200 OK\r\n", "no end of head"),
+                (b"SSH-2.0-OpenSSH\r\n\r\n", "bad status line"),
+                (b"HTTP/1.1 +20 OK\r\n\r\n", "bad status line"),
+                (b"HTTP/1.1 200 OK\r\nContent-Length: nine\r\n\r\n", "bad Content-Length"),
+                (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort", "body shorter"),
+                (b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n\xff", "not UTF-8"),
+                (b"HTTP/1.1 200 OK\xff\r\n\r\n", "not UTF-8"),
+            ];
+            for (raw, why) in cases {
+                let err = parse_reply(raw).unwrap_err();
+                assert!(err.to_string().contains(why), "{:?}: {err}", String::from_utf8_lossy(raw));
+            }
+            // Without Content-Length the body runs to EOF; past it, extra
+            // bytes are ignored.
+            let reply = parse_reply(b"HTTP/1.0 404 Not Found\r\nX: y\r\n\r\nrest").unwrap();
+            assert_eq!((reply.status, reply.body.as_str()), (404, "rest"));
+            let reply =
+                parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokEXTRA").unwrap();
+            assert_eq!(reply.body, "ok");
+        }
+
+        #[test]
+        fn unreachable_peers_are_io_errors() {
+            // Bind then drop: nothing listens on the port any more.
+            let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+            let err = exchange(&addr, "GET", "/healthz", &[], b"", TIMEOUTS).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{err}");
+            let err = exchange("no-port", "GET", "/", &[], b"", TIMEOUTS).unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{err}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    /// Feeds raw bytes through a real socket pair and parses them.
+    /// Parses bytes that hold one complete request.
     fn parse_bytes(bytes: &[u8]) -> Result<Request, RequestError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(bytes).unwrap();
-        drop(client); // close so under-length bodies error instead of hanging
-        let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side, 1024)
+        try_parse(bytes, 1024).map(|request| request.expect("a complete request"))
     }
 
     #[test]
@@ -353,19 +619,13 @@ mod tests {
 
     #[test]
     fn body_read_stops_exactly_at_content_length() {
-        // Same regression across the read loop: head in one segment, body
-        // plus trailing bytes in later ones. A fresh stream write lands in
-        // separate reads often enough that the old full-chunk reads
-        // overshot and errored.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"POST /run HTTP/1.1\r\nContent-Length: 6\r\n\r\n").unwrap();
-        client.flush().unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        client.write_all(b"abcdefTRAILING-JUNK").unwrap();
-        drop(client);
-        let req = read_request(&mut server_side, 1024).unwrap();
+        // Same regression across reads: the head arrives in one segment,
+        // the body plus trailing bytes in a later one. The buffer the
+        // event loop accumulates grows exactly like this.
+        let mut buf = b"POST /run HTTP/1.1\r\nContent-Length: 6\r\n\r\n".to_vec();
+        assert!(matches!(try_parse(&buf, 1024), Ok(None)), "head alone is incomplete");
+        buf.extend_from_slice(b"abcdefTRAILING-JUNK");
+        let req = try_parse(&buf, 1024).unwrap().expect("complete request");
         assert_eq!(req.body, b"abcdef");
     }
 
@@ -383,11 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_malformed_not_a_hang() {
-        assert!(matches!(
-            parse_bytes(b"POST /run HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(RequestError::Malformed(_))
-        ));
+    fn truncated_body_is_incomplete_not_malformed() {
+        // A body shorter than its Content-Length is "read more", never a
+        // parse error; what happens when the peer then hangs up is the
+        // event loop's business (tests/server_e2e.rs covers it).
+        let truncated = b"POST /run HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert!(matches!(try_parse(truncated, 1024), Ok(None)));
     }
 
     #[test]
@@ -444,15 +705,8 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        Response::retry_after(503, error_body("queue full"), 1).write_to(&mut server_side).unwrap();
-        drop(server_side);
-        let mut text = String::new();
-        let mut client = client;
-        client.read_to_string(&mut text).unwrap();
+        let bytes = Response::retry_after(503, error_body("queue full"), 1).to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
         assert!(text.contains("Retry-After: 1\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"), "{text}");
@@ -488,16 +742,9 @@ mod tests {
 
     #[test]
     fn text_responses_carry_their_content_type() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        Response::text(200, "fetchvp_up 1\n".to_string(), "text/plain; version=0.0.4")
-            .write_to(&mut server_side)
-            .unwrap();
-        drop(server_side);
-        let mut text = String::new();
-        client.read_to_string(&mut text).unwrap();
+        let response =
+            Response::text(200, "fetchvp_up 1\n".to_string(), "text/plain; version=0.0.4");
+        let text = String::from_utf8(response.to_bytes()).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"), "{text}");
         assert!(text.ends_with("fetchvp_up 1\n"), "{text}");
     }

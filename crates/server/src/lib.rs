@@ -12,13 +12,16 @@
 //!
 //! Everything is built on `std` only: [`std::net::TcpListener`] driven by
 //! a `poll(2)` readiness event loop (one thread multiplexing every
-//! connection; thread-per-connection remains as the non-Unix fallback), a
-//! hand-rolled HTTP/1.1 subset ([`http`]), a condvar-based bounded MPMC
+//! connection), a hand-rolled HTTP/1.1 subset with the one blocking
+//! client every outgoing request uses ([`http`]), a condvar-based bounded MPMC
 //! queue ([`queue`]) and a mutex-guarded job table ([`jobs`]). Several
 //! daemons started with `--peers` form a fleet ([`peers`]): jobs shard
 //! across members by consistent hashing on the spec's canonical hash,
 //! with single-hop proxying and per-peer health checks. [`loadgen`]
 //! drives such a fleet and reports achieved RPS and latency quantiles.
+//!
+//! The crate is Unix-only: the event loop calls `poll(2)` and shutdown
+//! listens for `SIGTERM`/`SIGINT` through `signal(2)`.
 //!
 //! # Endpoints
 //!
@@ -54,7 +57,6 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-#[cfg(unix)]
 mod eventloop;
 pub mod http;
 pub mod jobs;
@@ -92,9 +94,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it get `503`.
     pub queue_depth: usize,
-    /// Maximum sockets multiplexed by the event loop at once (handler
-    /// threads on the non-Unix fallback); excess clients wait in the
-    /// kernel's accept backlog.
+    /// Maximum sockets multiplexed by the event loop at once; excess
+    /// clients wait in the kernel's accept backlog.
     pub max_connections: usize,
     /// Per-request socket read timeout.
     pub read_timeout: Duration,
@@ -255,7 +256,6 @@ impl Shared {
     /// response when the hop could not be parked (saturated pool): the
     /// request is completed locally instead — computed without blocking
     /// I/O, and already metered.
-    #[cfg(unix)]
     fn dispatch_proxy(
         &self,
         kind: ProxyKind,
@@ -375,7 +375,7 @@ impl Server {
             Vec::new()
         };
 
-        let served = serve_connections(&self.listener, &self.state);
+        let served = eventloop::serve(&self.listener, &self.state);
 
         // Graceful shutdown: reject new work, drain everything admitted.
         self.state.queue.close();
@@ -391,57 +391,6 @@ impl Server {
         }
         served
     }
-}
-
-/// Multiplexes connections until shutdown — the `poll(2)` event loop.
-#[cfg(unix)]
-fn serve_connections(listener: &TcpListener, state: &Arc<Shared>) -> io::Result<()> {
-    eventloop::serve(listener, state)
-}
-
-/// Non-Unix fallback: blocking accept + one handler thread per
-/// connection, exactly the pre-event-loop daemon.
-#[cfg(not(unix))]
-fn serve_connections(listener: &TcpListener, state: &Arc<Shared>) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    while !state.should_shutdown() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let active = state.active_connections.load(Ordering::SeqCst);
-                if active >= state.config.max_connections {
-                    state.metrics.counter("server.connections", "rejected", 1);
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-                    let _ = Response::retry_after(503, error_body("connection limit"), 1)
-                        .write_to(&mut stream);
-                    continue;
-                }
-                state.active_connections.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(state);
-                let _ = std::thread::Builder::new()
-                    .name("fetchvp-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(&state, stream);
-                        state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .map_err(|_| {
-                        // Spawn failure: undo the reservation; the peer
-                        // times out rather than deadlocking the count.
-                        state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while state.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(())
 }
 
 /// Probes every peer on a fixed interval, flipping liveness flags and
@@ -525,8 +474,8 @@ enum Routed {
         member: usize,
     },
     /// Stream the job's progress ring as chunked NDJSON until its
-    /// terminal event — served incrementally by the event loop (the
-    /// threaded fallback and unit tests degrade to a snapshot).
+    /// terminal event — served incrementally by the event loop (unit
+    /// tests degrade to a snapshot).
     Stream {
         /// The job's progress handle; the connection keeps its own
         /// cursor into the ring.
@@ -565,7 +514,6 @@ fn finish_request(state: &Shared, request: &Request, response: &Response, starte
 /// complete without blocking I/O come back [`Routed::Ready`], already
 /// metered; proxy hops come back [`Routed::Proxy`] for
 /// [`Shared::dispatch_proxy`].
-#[cfg(unix)]
 fn respond_or_proxy(state: &Shared, request: &Request, started: Instant) -> Routed {
     match route(state, request, false) {
         Routed::Ready(response) => {
@@ -589,10 +537,9 @@ fn respond_or_proxy(state: &Shared, request: &Request, started: Instant) -> Rout
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ndjson";
 
 /// Routes one parsed request to a finished response, running any proxy
-/// hop inline — the blocking entry point used by the threaded fallback
-/// (one thread per connection, so blocking is safe) and unit tests. The
-/// event loop uses [`respond_or_proxy`] + the proxy helper pool instead.
-#[cfg(any(test, not(unix)))]
+/// hop inline — the blocking entry point of the unit tests. The event
+/// loop uses [`respond_or_proxy`] + the proxy helper pool instead.
+#[cfg(test)]
 fn respond(state: &Shared, request: &Request, started: Instant) -> Response {
     let response = match route(state, request, false) {
         Routed::Ready(response) => response,
@@ -608,9 +555,9 @@ fn respond(state: &Shared, request: &Request, started: Instant) -> Response {
     response
 }
 
-/// The ring's retained events as one buffered NDJSON body — what the
-/// threaded fallback (and any proxyless local route) serves where the
-/// event loop would stream live.
+/// The ring's retained events as one buffered NDJSON body — what a
+/// proxyless local route (and the unit tests) serves where the event
+/// loop would stream live.
 fn stream_snapshot(progress: &JobProgress) -> Response {
     let batch = progress.since(0);
     let mut body = String::new();
@@ -723,33 +670,6 @@ fn route_local(state: &Shared, request: &Request) -> Response {
             unreachable!("local-only routing cannot proxy")
         }
     }
-}
-
-/// Reads one request, routes it, writes the response, records metrics —
-/// the threaded fallback's per-connection handler.
-#[cfg(not(unix))]
-fn handle_connection(state: &Shared, mut stream: TcpStream) {
-    use http::{read_request, RequestError};
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-    let started = Instant::now();
-    let response = match read_request(&mut stream, state.config.max_body_bytes) {
-        Ok(request) => respond(state, &request, started),
-        Err(RequestError::Io(_)) => {
-            state.metrics.counter("server.requests", "io_error", 1);
-            return; // nothing sane to answer on a dead socket
-        }
-        Err(RequestError::TooLarge(what)) => {
-            state.metrics.counter("server.requests", "too_large.413", 1);
-            Response::json(413, error_body(&format!("{what} too large")))
-        }
-        Err(RequestError::Malformed(why)) => {
-            state.metrics.counter("server.requests", "malformed.400", 1);
-            Response::json(400, error_body(why))
-        }
-    };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// The metric label for a request path (`/jobs/7` → `jobs`,
@@ -904,7 +824,7 @@ fn metrics_snapshot(state: &Shared, request: &Request) -> Response {
     refresh_gauges(state);
     // `server.started` (recorded at bind) guarantees the `server.*`
     // namespace is present even in the very first scrape; this request's
-    // own counter lands in the *next* snapshot via handle_connection.
+    // own counter lands in the *next* snapshot via finish_request.
     let snapshot = state.metrics.snapshot();
     if wants_prometheus(request) {
         return Response::text(
@@ -1172,8 +1092,7 @@ fn job_events(state: &Shared, request: &Request, path: &str, local_only: bool) -
 /// `std` exposes no signal API and the workspace links no crates, but
 /// `std` itself links libc, so declaring `signal(2)` directly keeps the
 /// daemon zero-dependency. The handler only stores to an atomic —
-/// async-signal-safe — and the accept loop polls the flag every 10 ms.
-#[cfg(unix)]
+/// async-signal-safe — and the event loop checks the flag every tick.
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1200,16 +1119,6 @@ mod signals {
     /// Whether a termination signal has arrived.
     pub fn terminated() -> bool {
         TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
-/// Non-Unix fallback: no signal handling; `POST /shutdown` still works.
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
-
-    pub fn terminated() -> bool {
-        false
     }
 }
 
@@ -1556,6 +1465,47 @@ mod tests {
         );
         // Method guard matches the other endpoints.
         assert_eq!(post(&state, "/fleet/metrics", "").status, 405);
+    }
+
+    /// A fleet peer that answers one proxy hop with hostile bytes: the
+    /// hop must fail (nothing relayed), count as a proxy error and mark
+    /// the peer dead, whatever the flavor of garbage.
+    #[test]
+    fn hostile_peer_replies_are_dropped_and_the_peer_marked_dead() {
+        use http::client::tests::{reply_with_body, serve_once};
+        use http::client::MAX_RESPONSE_BYTES;
+        let cases = [
+            ("a body one byte past the cap", reply_with_body(MAX_RESPONSE_BYTES + 1)),
+            ("a garbage status line", b"HTTP/1.1 OK maybe\r\n\r\n{}".to_vec()),
+            (
+                "a Content-Length longer than what arrives",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}".to_vec(),
+            ),
+        ];
+        for (what, reply) in cases {
+            let (peer, served) = serve_once(reply);
+            // Self is a placeholder address: it only has to resolve.
+            let members = vec!["127.0.0.1:1".to_string(), peer];
+            let fleet = Fleet::from_members(&members, "127.0.0.1:1".parse().unwrap()).unwrap();
+            let state = Shared { fleet, ..test_state(4) };
+            let request = Request {
+                method: "GET".to_string(),
+                path: "/jobs/1".to_string(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            };
+            assert!(proxy_or_mark_dead(&state, 1, &request).is_none(), "{what} was relayed");
+            assert!(
+                served.join().unwrap().header(peers::FORWARDED_HEADER).is_some(),
+                "the hop must be marked forwarded"
+            );
+            assert_eq!(
+                state.metrics.snapshot().get_counter("server.peers.proxy_errors"),
+                Some(1),
+                "{what}"
+            );
+            assert!(!state.fleet.is_alive(1), "{what} must mark the peer dead");
+        }
     }
 
     #[test]

@@ -26,14 +26,14 @@
 //! cross-member routing in one run.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fetchvp_experiments::JobSpec;
 use fetchvp_metrics::{Histogram, Json};
+
+use crate::http::client::{self, Timeouts};
 
 /// The default spec mix: small deterministic table experiments, distinct
 /// enough to spread across a fleet's hash ring, repeated enough that a
@@ -326,40 +326,21 @@ fn sender_loop(
                     tally.ok += 1;
                 }
             }
-            Err(()) => tally.errors += 1,
+            Err(_) => tally.errors += 1,
         }
     }
 }
 
+/// Per-request timeouts: a 1 s connect, then 5 s for each read or write.
+const TIMEOUTS: Timeouts = Timeouts { connect: Duration::from_secs(1), io: Duration::from_secs(5) };
+
 /// One `POST /run`, returning the response status and whether the
 /// answer was relayed from another fleet member (the
 /// `X-Fetchvp-Proxied` header).
-fn post_run(target: &str, spec: &str) -> Result<(u16, bool), ()> {
-    let addr = target.to_socket_addrs().map_err(|_| ())?.next().ok_or(())?;
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).map_err(|_| ())?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).map_err(|_| ())?;
-    stream.set_write_timeout(Some(Duration::from_secs(5))).map_err(|_| ())?;
-    let head = format!(
-        "POST /run HTTP/1.1\r\nHost: {target}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        spec.len()
-    );
-    stream.write_all(head.as_bytes()).map_err(|_| ())?;
-    stream.write_all(spec.as_bytes()).map_err(|_| ())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|_| ())?;
-    let text = std::str::from_utf8(&raw).map_err(|_| ())?;
-    let status = text
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|code| code.parse().ok())
-        .ok_or(())?;
-    let head = text.split("\r\n\r\n").next().unwrap_or(text);
-    let proxied = head.lines().any(|line| {
-        line.split_once(':').is_some_and(|(name, _)| name.eq_ignore_ascii_case("x-fetchvp-proxied"))
-    });
-    Ok((status, proxied))
+fn post_run(target: &str, spec: &str) -> Result<(u16, bool), client::Error> {
+    let headers = [("Content-Type", "application/json")];
+    let reply = client::exchange(target, "POST", "/run", &headers, spec.as_bytes(), TIMEOUTS)?;
+    Ok((reply.status, reply.header("x-fetchvp-proxied").is_some()))
 }
 
 #[cfg(test)]

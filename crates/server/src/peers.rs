@@ -18,13 +18,13 @@
 //! marked dead and the job runs locally: a dying peer degrades the cache
 //! hit rate, not availability.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use fetchvp_tracestore::fnv1a;
 
+use crate::http::client::{self, Reply, Timeouts};
 use crate::http::{Request, Response};
 
 /// Virtual nodes per member on the consistent-hash ring. 64 points keep
@@ -37,23 +37,19 @@ pub const VNODES: usize = 64;
 /// such requests locally unconditionally — the single-hop guarantee.
 pub const FORWARDED_HEADER: &str = "x-fetchvp-forwarded";
 
-/// How long the proxy path waits to connect to a peer. Loopback and
-/// rack-local peers answer in well under this; anything slower is better
-/// served by running the job locally.
-const PROXY_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Proxy hop timeouts. Loopback and rack-local peers connect in well
+/// under 500 ms; anything slower is better served by running the job
+/// locally. The 2 s read/write timeout stays well under the default
+/// client read timeout (5 s), so a stalled peer fails over to the local
+/// fallback while the client is still listening, instead of the hop
+/// outliving the request it was made for.
+const PROXY_TIMEOUTS: Timeouts =
+    Timeouts { connect: Duration::from_millis(500), io: Duration::from_secs(2) };
 
-/// Read/write timeout on an established proxy connection — kept well
-/// under the default client read timeout (5 s) so a stalled peer fails
-/// over to the local fallback while the client is still listening,
-/// instead of the hop outliving the request it was made for.
-const PROXY_IO_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Connect timeout for a health probe — deliberately tight so a dead
-/// peer is detected within one probe interval.
-const PROBE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Read timeout for a health probe response.
-const PROBE_IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// Health probe timeouts — deliberately tight so a dead peer is detected
+/// within one probe interval.
+const PROBE_TIMEOUTS: Timeouts =
+    Timeouts { connect: Duration::from_millis(250), io: Duration::from_millis(500) };
 
 /// How often the health checker probes each peer.
 pub const HEALTH_INTERVAL: Duration = Duration::from_millis(500);
@@ -189,50 +185,31 @@ impl Fleet {
         }
     }
 
-    /// Forwards `request` verbatim to `member` and relays its response,
-    /// marking the hop with [`FORWARDED_HEADER`] so the receiver handles
-    /// it locally. `None` means the peer could not be reached or spoke
-    /// garbage — the caller should mark it dead and fall back.
-    pub fn proxy(&self, member: usize, request: &Request) -> Option<Response> {
+    /// Sends `request` to `member`, marked with [`FORWARDED_HEADER`] so
+    /// the receiver handles it locally. `None` when the peer cannot be
+    /// reached.
+    fn hop(&self, member: usize, request: &Request) -> Option<TcpStream> {
         let addr = self.members.get(member)?;
-        let resolved = addr.to_socket_addrs().ok()?.next()?;
-        let mut stream = TcpStream::connect_timeout(&resolved, PROXY_CONNECT_TIMEOUT).ok()?;
-        stream.set_read_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        stream.set_write_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        let head = format!(
-            "{} {} HTTP/1.1\r\nHost: {addr}\r\n{FORWARDED_HEADER}: 1\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            request.method,
-            request.path,
-            request.body.len()
-        );
-        stream.write_all(head.as_bytes()).ok()?;
-        stream.write_all(&request.body).ok()?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).ok()?;
-        parse_upstream_response(&raw)
+        let headers = [(FORWARDED_HEADER, "1")];
+        client::send(addr, &request.method, &request.path, &headers, &request.body, PROXY_TIMEOUTS)
+            .ok()
     }
 
-    /// Opens a **streaming** hop to `member`: connects, sends `request`
-    /// (marked with [`FORWARDED_HEADER`]) and hands back the raw socket
-    /// in nonblocking mode, so the event loop can relay the peer's
+    /// Forwards `request` to `member` and relays its response. `None`
+    /// means the peer could not be reached or its reply was garbage,
+    /// truncated or past [`client::MAX_RESPONSE_BYTES`] — the caller
+    /// should mark it dead and fall back.
+    pub fn proxy(&self, member: usize, request: &Request) -> Option<Response> {
+        client::read_reply(self.hop(member, request)?).ok().map(relayable)
+    }
+
+    /// Opens a **streaming** hop to `member` and hands back the raw
+    /// socket in nonblocking mode, so the event loop can relay the peer's
     /// chunked response bytes verbatim as they arrive — the 1-hop proxy
     /// path of `GET /jobs/<id>/events`. `None` when the peer cannot be
     /// reached; the caller answers 502.
     pub fn open_stream(&self, member: usize, request: &Request) -> Option<TcpStream> {
-        let addr = self.members.get(member)?;
-        let resolved = addr.to_socket_addrs().ok()?.next()?;
-        let mut stream = TcpStream::connect_timeout(&resolved, PROXY_CONNECT_TIMEOUT).ok()?;
-        stream.set_write_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        let head = format!(
-            "{} {} HTTP/1.1\r\nHost: {addr}\r\n{FORWARDED_HEADER}: 1\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            request.method,
-            request.path,
-            request.body.len()
-        );
-        stream.write_all(head.as_bytes()).ok()?;
-        stream.write_all(&request.body).ok()?;
+        let stream = self.hop(member, request)?;
         stream.set_nonblocking(true).ok()?;
         Some(stream)
     }
@@ -241,21 +218,8 @@ impl Fleet {
     /// the peer answered 200.
     pub fn probe(&self, member: usize) -> bool {
         let Some(addr) = self.members.get(member) else { return false };
-        let Some(resolved) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
-            return false;
-        };
-        let Ok(mut stream) = TcpStream::connect_timeout(&resolved, PROBE_CONNECT_TIMEOUT) else {
-            return false;
-        };
-        let _ = stream.set_read_timeout(Some(PROBE_IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(PROBE_IO_TIMEOUT));
-        let head = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-        if stream.write_all(head.as_bytes()).is_err() {
-            return false;
-        }
-        let mut raw = Vec::new();
-        let _ = stream.read_to_end(&mut raw);
-        raw.starts_with(b"HTTP/1.1 200")
+        client::exchange(addr, "GET", "/healthz", &[], b"", PROBE_TIMEOUTS)
+            .is_ok_and(|reply| reply.status == 200)
     }
 
     /// `members[i]` rendered as a metric-name segment: Prometheus metric
@@ -271,42 +235,17 @@ impl Fleet {
     }
 }
 
-/// Parses a peer's raw HTTP/1.1 response into a relayable [`Response`].
-/// Only the pieces the daemon itself emits are understood: status code,
-/// `Content-Type`, `Retry-After` and a `Connection: close`-delimited
-/// body.
-fn parse_upstream_response(raw: &[u8]) -> Option<Response> {
-    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&raw[..head_end]).ok()?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next()?;
-    let status: u16 = status_line.strip_prefix("HTTP/1.1 ")?.split(' ').next()?.parse().ok()?;
-    let mut content_type = "application/json".to_string();
-    let mut retry_after = None;
-    let mut content_length = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let value = value.trim();
-        match name.to_ascii_lowercase().as_str() {
-            "content-type" => content_type = value.to_string(),
-            "retry-after" => retry_after = value.parse().ok(),
-            "content-length" => content_length = value.parse().ok(),
-            _ => {}
-        }
-    }
-    let body = &raw[head_end + 4..];
-    let body = match content_length {
-        Some(n) if n <= body.len() => &body[..n],
-        Some(_) => return None, // truncated mid-body
-        None => body,
-    };
-    Some(Response {
-        status,
-        body: String::from_utf8(body.to_vec()).ok()?,
-        content_type,
-        retry_after,
+/// A peer's reply as a relayable [`Response`]. Only the pieces the
+/// daemon itself emits carry over: status code, `Content-Type`,
+/// `Retry-After` and body.
+fn relayable(reply: Reply) -> Response {
+    Response {
+        status: reply.status,
+        content_type: reply.header("content-type").unwrap_or("application/json").to_string(),
+        retry_after: reply.header("retry-after").and_then(|v| v.parse().ok()),
+        body: reply.body,
         proxied: false,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -401,12 +340,11 @@ mod tests {
     #[test]
     fn upstream_responses_round_trip_through_the_parser() {
         let original = Response::retry_after(503, crate::http::error_body("queue full"), 7);
-        let parsed = parse_upstream_response(&original.to_bytes()).unwrap();
+        let parsed = relayable(client::parse_reply(&original.to_bytes()).unwrap());
         assert_eq!(parsed, original);
-        assert!(parse_upstream_response(b"HTTP/1.1 200 OK\r\n").is_none(), "no head terminator");
+        assert!(client::parse_reply(b"HTTP/1.1 200 OK\r\n").is_err(), "no head terminator");
         assert!(
-            parse_upstream_response(b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\nshort")
-                .is_none(),
+            client::parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\nshort").is_err(),
             "truncated body must not relay"
         );
     }

@@ -1,47 +1,16 @@
-//! Binary serialization of captured traces.
+//! The tagged binary encoding of static instructions.
 //!
-//! The paper's methodology separates *tracing* (Shade, run once, 100M
-//! instructions per benchmark) from *simulation* (many machine
-//! configurations over the same trace). This module provides the same
-//! workflow: capture a [`Trace`] once, [`write_trace`] it to a file, and
-//! [`read_trace`] it back for each experiment — useful when the workload
-//! generation is slower than the simulators, or for archiving the exact
-//! stream behind a published result.
-//!
-//! # Format
-//!
-//! Little-endian, versioned:
-//!
-//! ```text
-//! magic "FVPT"   4 bytes
-//! version        u32
-//! name length    u32, then UTF-8 bytes
-//! outcome        u8 (0 = halted, 1 = limit reached)
-//! record count   u64
-//! records        count x { pc: u64, instr: tagged encoding,
-//!                          result: u64, mem_addr: u64 (MAX = none),
-//!                          taken: u8, next_pc: u64 }
-//! ```
-//!
-//! Sequence numbers are implicit (records are dense in retirement order).
+//! [`write_instr`] / [`read_instr`] encode one [`Instr`] as a one-byte
+//! variant tag followed by the variant's fields (little-endian). The
+//! chunked `.fvps` trace store (`fetchvp-tracestore`) keeps each trace's
+//! instruction table in this encoding in its footer.
 
 use std::io::{self, Read, Write};
 
 use fetchvp_isa::{AluOp, Cond, Instr, Reg};
 
-use crate::exec::ExecOutcome;
-use crate::record::DynInstr;
-use crate::Trace;
-
-const MAGIC: &[u8; 4] = b"FVPT";
-const VERSION: u32 = 1;
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
 }
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -52,12 +21,6 @@ fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
     Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
@@ -86,8 +49,7 @@ fn reg_from(idx: u8) -> io::Result<Reg> {
     Reg::new(idx).ok_or_else(|| bad(format!("bad register index {idx}")))
 }
 
-/// Writes one static instruction in the tagged wire encoding shared by the
-/// legacy record format and the chunked tracestore format (a one-byte
+/// Writes one static instruction in the tagged wire encoding (a one-byte
 /// variant tag followed by the variant's fields).
 ///
 /// # Errors
@@ -185,131 +147,15 @@ pub fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
     })
 }
 
-/// Writes a trace in the binary format described in the
-/// [module docs](self).
-///
-/// A `&mut` reference also works as the writer (`W: Write` is taken by
-/// value per the standard-library convention).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION)?;
-    write_u32(&mut w, trace.name().len() as u32)?;
-    w.write_all(trace.name().as_bytes())?;
-    w.write_all(&[match trace.outcome() {
-        ExecOutcome::Halted => 0,
-        ExecOutcome::LimitReached => 1,
-    }])?;
-    write_u64(&mut w, trace.len() as u64)?;
-    for rec in trace {
-        write_u64(&mut w, rec.pc)?;
-        write_instr(&mut w, &rec.instr)?;
-        write_u64(&mut w, rec.result)?;
-        write_u64(&mut w, rec.mem_addr.unwrap_or(u64::MAX))?;
-        w.write_all(&[rec.taken as u8])?;
-        write_u64(&mut w, rec.next_pc)?;
-    }
-    Ok(())
-}
-
-/// The smallest possible encoded record (a `Halt`/`Nop`: pc + one-byte
-/// instruction + result + mem-addr + taken + next-pc). Used to reject
-/// record counts that cannot fit in a file of known size.
-const MIN_RECORD_BYTES: u64 = 8 + 1 + 8 + 8 + 1 + 8;
-
-/// Reads a trace previously written by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad magic number, version,
-/// or malformed record, and propagates reader errors.
-///
-/// # Hostile input
-///
-/// Length prefixes are never trusted for up-front allocation: a corrupt
-/// record count makes the read fail with a truncation error once the
-/// stream runs dry, not abort on an out-of-memory allocation. When the
-/// total input size is known, prefer [`read_trace_sized`], which rejects
-/// impossible counts before decoding a single record.
-pub fn read_trace<R: Read>(r: R) -> io::Result<Trace> {
-    read_trace_impl(r, None)
-}
-
-/// Reads a trace from an input whose total size in bytes is known (e.g. a
-/// file), rejecting headers whose record count could not possibly fit in
-/// `size_bytes` with a clear error instead of decoding to exhaustion.
-///
-/// # Errors
-///
-/// As [`read_trace`], plus `InvalidData` for an impossible record count.
-pub fn read_trace_sized<R: Read>(r: R, size_bytes: u64) -> io::Result<Trace> {
-    read_trace_impl(r, Some(size_bytes))
-}
-
-fn read_trace_impl<R: Read>(mut r: R, size_bytes: Option<u64>) -> io::Result<Trace> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a fetchvp trace (bad magic)"));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(bad(format!("unsupported trace version {version}")));
-    }
-    let name_len = read_u32(&mut r)? as usize;
-    if name_len > 1 << 20 {
-        return Err(bad(format!("implausible name length {name_len} (cap {})", 1 << 20)));
-    }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| bad("trace name is not UTF-8"))?;
-    let outcome = match read_u8(&mut r)? {
-        0 => ExecOutcome::Halted,
-        1 => ExecOutcome::LimitReached,
-        t => return Err(bad(format!("bad outcome tag {t}"))),
-    };
-    let count = read_u64(&mut r)?;
-    if let Some(size) = size_bytes {
-        if count > size / MIN_RECORD_BYTES {
-            return Err(bad(format!(
-                "impossible record count {count} for a {size}-byte file \
-                 (records are at least {MIN_RECORD_BYTES} bytes each)"
-            )));
-        }
-    }
-    // Cap the up-front allocation: `count` is attacker-controlled when the
-    // size is unknown, and even the plausible-count path should not reserve
-    // gigabytes before a single record has decoded.
-    let mut records = Vec::with_capacity(count.min(1 << 16) as usize);
-    for seq in 0..count {
-        let pc = read_u64(&mut r)?;
-        let instr = read_instr(&mut r)?;
-        let result = read_u64(&mut r)?;
-        let mem_addr = match read_u64(&mut r)? {
-            u64::MAX => None,
-            a => Some(a),
-        };
-        let taken = match read_u8(&mut r)? {
-            0 => false,
-            1 => true,
-            t => return Err(bad(format!("bad taken flag {t}"))),
-        };
-        let next_pc = read_u64(&mut r)?;
-        records.push(DynInstr { seq, pc, instr, result, mem_addr, taken, next_pc });
-    }
-    Ok(Trace::from_records(name, records, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace_program;
     use fetchvp_isa::ProgramBuilder;
 
-    fn sample_trace() -> Trace {
+    /// The instruction stream of a small program touching every common
+    /// instruction shape, encoded back to back.
+    fn sample_stream() -> (Vec<Instr>, Vec<u8>) {
         let mut b = ProgramBuilder::new("sample");
         b.data_word(0x100, 7);
         b.load_imm(Reg::R1, 0x100);
@@ -326,127 +172,71 @@ mod tests {
         b.nop();
         b.bind(back);
         b.jump_ind(Reg::R31);
-        trace_program(&b.build().unwrap(), 1000)
+        let instrs: Vec<Instr> =
+            trace_program(&b.build().unwrap(), 1000).iter().map(|rec| rec.instr).collect();
+        let mut buf = Vec::new();
+        for instr in &instrs {
+            write_instr(&mut buf, instr).unwrap();
+        }
+        (instrs, buf)
+    }
+
+    /// Decodes a whole stream, stopping at the first error.
+    fn read_stream(mut bytes: &[u8]) -> io::Result<Vec<Instr>> {
+        let mut instrs = Vec::new();
+        while !bytes.is_empty() {
+            instrs.push(read_instr(&mut bytes)?);
+        }
+        Ok(instrs)
     }
 
     #[test]
     fn round_trip_preserves_everything() {
-        let original = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&original, &mut buf).unwrap();
-        let loaded = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(original, loaded);
-    }
-
-    #[test]
-    fn round_trip_preserves_limit_outcome() {
-        let mut b = ProgramBuilder::new("endless");
-        let head = b.bind_label("head");
-        b.nop();
-        b.jump(head);
-        let t = trace_program(&b.build().unwrap(), 50);
-        assert_eq!(t.outcome(), ExecOutcome::LimitReached);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        assert_eq!(read_trace(buf.as_slice()).unwrap().outcome(), ExecOutcome::LimitReached);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let err = read_trace(&b"NOPE"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn bad_version_is_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample_trace(), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(read_trace(buf.as_slice()).is_err());
+        let (instrs, buf) = sample_stream();
+        assert_eq!(read_stream(&buf).unwrap(), instrs);
     }
 
     #[test]
     fn truncated_stream_is_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample_trace(), &mut buf).unwrap();
+        let (_, mut buf) = sample_stream();
         buf.truncate(buf.len() - 3);
-        assert!(read_trace(buf.as_slice()).is_err());
+        assert!(read_stream(&buf).is_err());
     }
 
     #[test]
     fn corrupt_instruction_tag_is_rejected() {
         let mut buf = Vec::new();
-        let t = sample_trace();
-        write_trace(&t, &mut buf).unwrap();
-        // The first record's instruction tag sits after the fixed header
-        // plus pc; smash it.
-        let header = 4 + 4 + 4 + t.name().len() + 1 + 8;
-        buf[header + 8] = 200;
-        assert!(read_trace(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn impossible_record_count_is_rejected_by_sized_reader() {
-        let mut buf = Vec::new();
-        let t = sample_trace();
-        write_trace(&t, &mut buf).unwrap();
-        // Smash the record count (little-endian u64 right after the
-        // outcome byte) to u64::MAX.
-        let count_at = 4 + 4 + 4 + t.name().len() + 1;
-        buf[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_trace_sized(buf.as_slice(), buf.len() as u64).unwrap_err();
+        write_instr(&mut buf, &Instr::Load { dst: Reg::R2, base: Reg::R1, offset: 0 }).unwrap();
+        buf[0] = 200;
+        let err = read_instr(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("impossible record count"), "{err}");
-    }
-
-    #[test]
-    fn huge_count_without_size_fails_on_truncation_not_oom() {
-        let mut buf = Vec::new();
-        let t = sample_trace();
-        write_trace(&t, &mut buf).unwrap();
-        let count_at = 4 + 4 + 4 + t.name().len() + 1;
-        buf[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        // The unsized reader cannot pre-validate the count, but it must
-        // not reserve for it either: it decodes what is there and fails
-        // at end-of-stream.
-        assert!(read_trace(buf.as_slice()).is_err());
+        assert!(err.to_string().contains("bad instruction tag 200"), "{err}");
     }
 
     #[test]
     fn every_truncation_point_is_rejected() {
-        let mut b = ProgramBuilder::new("tiny");
-        let head = b.bind_label("head");
-        b.nop();
-        b.jump(head);
-        let t = trace_program(&b.build().unwrap(), 40);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        for len in 0..buf.len() {
-            let err = read_trace_sized(&buf[..len], len as u64);
-            assert!(err.is_err(), "prefix of {len} bytes decoded successfully");
+        let (instrs, _) = sample_stream();
+        for instr in &instrs {
+            let mut buf = Vec::new();
+            write_instr(&mut buf, instr).unwrap();
+            for len in 0..buf.len() {
+                let decoded = read_instr(&mut &buf[..len]);
+                assert!(decoded.is_err(), "{instr}: prefix of {len} bytes decoded successfully");
+            }
         }
     }
 
     #[test]
     fn bit_flips_never_panic() {
-        let mut b = ProgramBuilder::new("tiny");
-        b.data_word(0x100, 7);
-        let head = b.bind_label("head");
-        b.load(Reg::R2, Reg::R1, 0x100);
-        b.alu(AluOp::Add, Reg::R3, Reg::R2, Reg::R2);
-        b.store(Reg::R3, Reg::R1, 0x108);
-        b.jump(head);
-        let t = trace_program(&b.build().unwrap(), 40);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
+        let (_, buf) = sample_stream();
         for pos in 0..buf.len() {
             for bit in 0..8 {
                 let mut flipped = buf.clone();
                 flipped[pos] ^= 1 << bit;
-                // A flipped bit may still decode to a (different) valid
-                // trace; the guarantee is a clean Ok/Err, never a panic
-                // or runaway allocation.
-                let _ = read_trace_sized(flipped.as_slice(), flipped.len() as u64);
+                // A flipped bit may still decode to (different) valid
+                // instructions; the guarantee is a clean Ok/Err, never a
+                // panic.
+                let _ = read_stream(&flipped);
             }
         }
     }

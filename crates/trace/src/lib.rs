@@ -21,8 +21,9 @@
 //!   validating that the synthetic workloads resemble their SPECint95
 //!   counterparts.
 //! * [`BasicBlocks`] — static basic-block discovery used by the trace cache.
-//! * [`write_trace`] / [`read_trace`] — the Shade-style trace-file workflow:
-//!   capture once, simulate many times.
+//! * [`io`] — the tagged instruction encoding inside the `.fvps` trace
+//!   files of `fetchvp-tracestore` (the Shade-style workflow: capture
+//!   once, simulate many times).
 //!
 //! # Example
 //!
@@ -59,7 +60,6 @@ pub mod stats;
 pub use bb::{BasicBlocks, BlockId};
 pub use columns::{PreparedInstr, Slot, TraceColumns, TraceView, NO_REG};
 pub use exec::{ExecOutcome, Executor};
-pub use io::{read_trace, read_trace_sized, write_trace};
 pub use memory::SparseMemory;
 pub use record::DynInstr;
 pub use stats::{StatsAccum, TraceStats};

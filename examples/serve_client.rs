@@ -1,5 +1,5 @@
-//! Drive the `fetchvp serve` daemon end to end from plain `std::net`:
-//! boot a server in-process on an ephemeral port, check its health,
+//! Drive the `fetchvp serve` daemon end to end through its blocking
+//! HTTP client (`fetchvp_server::http::client`): boot a server in-process on an ephemeral port, check its health,
 //! submit a quick bench job, poll it to completion, scrape the metrics
 //! registry, and shut the daemon down gracefully.
 //!
@@ -12,27 +12,19 @@
 //! Against an already-running daemon (`fetchvp serve`), the same five
 //! requests work verbatim with `curl` — see the README's Serving section.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use fetchvp_metrics::Json;
+use fetchvp_server::http::client::{self, Timeouts};
 use fetchvp_server::{Server, ServerConfig};
 
-/// One `Connection: close` HTTP exchange; returns `(status, body)`.
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes())).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("complete response");
-    let status = head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    (status, body.to_string())
+/// One `Connection: close` HTTP exchange through the daemon's own
+/// client; returns `(status, body)`.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+    let timeouts = Timeouts { connect: Duration::from_secs(5), io: Duration::from_secs(30) };
+    let reply = client::exchange(addr, method, path, &[], body.as_bytes(), timeouts)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    (reply.status, reply.body)
 }
 
 fn main() {
@@ -44,17 +36,17 @@ fn main() {
         ..ServerConfig::default()
     })
     .expect("bind");
-    let addr = server.local_addr().expect("local addr");
+    let addr = server.local_addr().expect("local addr").to_string();
     let daemon = std::thread::spawn(move || server.run());
     println!("daemon    : listening on {addr}");
 
     // 2. Health check.
-    let (status, body) = http(addr, "GET", "/healthz", "");
+    let (status, body) = http(&addr, "GET", "/healthz", "");
     println!("healthz   : {status} {body}");
 
     // 3. Submit a quick bench job; the daemon answers 202 + a job id.
     let spec = r#"{"experiment": "bench", "trace_len": 2000, "seed": 7}"#;
-    let (status, body) = http(addr, "POST", "/run", spec);
+    let (status, body) = http(&addr, "POST", "/run", spec);
     println!("run       : {status} {body}");
     assert_eq!(status, 202, "submission failed");
     let id = Json::parse(&body).unwrap().get("job").and_then(Json::as_u64).expect("job id");
@@ -62,7 +54,7 @@ fn main() {
     // 4. Poll the job until it reaches a terminal state.
     let deadline = Instant::now() + Duration::from_secs(60);
     let record = loop {
-        let (_, body) = http(addr, "GET", &format!("/jobs/{id}"), "");
+        let (_, body) = http(&addr, "GET", &format!("/jobs/{id}"), "");
         let doc = Json::parse(&body).expect("job record");
         match doc.get("status").and_then(Json::as_str) {
             Some("done") | Some("failed") => break doc,
@@ -87,7 +79,7 @@ fn main() {
 
     // 5. Scrape the live registry: server counters plus the simulator
     //    namespaces merged from the completed job.
-    let (_, body) = http(addr, "GET", "/metrics", "");
+    let (_, body) = http(&addr, "GET", "/metrics", "");
     let metrics = Json::parse(&body).expect("metrics parse with our own Json");
     let counters = metrics.get("counters").and_then(Json::as_object).expect("counters");
     println!("metrics   : {} counters, e.g.", counters.len());
@@ -97,7 +89,7 @@ fn main() {
     }
 
     // 6. Graceful shutdown: drains in-flight work, then `run()` returns.
-    let (status, _) = http(addr, "POST", "/shutdown", "");
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
     println!("shutdown  : {status}");
     daemon.join().expect("daemon thread").expect("daemon exited with an error");
     println!("daemon    : exited cleanly");

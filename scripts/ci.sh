@@ -38,9 +38,10 @@ cargo test $OFFLINE -q
 echo "== batch-vs-serial differential"
 cargo test $OFFLINE -q -p fetchvp-experiments --test batch_vs_serial
 
-# HTTP reader regressions: trailing keep-alive bytes, exact body reads and
-# duplicate Content-Length handling.
-echo "== http reader regressions"
+# HTTP regressions: the request parser (trailing keep-alive bytes, exact
+# body reads, duplicate Content-Length handling) and the blocking client
+# (`http::client`: reply parsing and the MAX_RESPONSE_BYTES cap).
+echo "== http parser and client regressions"
 cargo test $OFFLINE -q -p fetchvp-server --lib http::
 
 # Out-of-core tracestore: chunked round-trip, corruption-hardening and

@@ -1,6 +1,6 @@
 //! End-to-end tests for `--peers` fleet mode: two real daemons on
 //! ephemeral loopback ports, sharding jobs by consistent hashing with
-//! single-hop proxying — driven entirely over raw `TcpStream`s.
+//! single-hop proxying — driven entirely through `http::client`.
 //!
 //! The contracts under test:
 //!
@@ -17,45 +17,31 @@
 //!    snapshots plus fleet-summed counters, and a killed member shows up
 //!    as `"down"` instead of failing the aggregation.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use fetchvp_metrics::Json;
+use fetchvp_server::http::client::{self, Reply, Timeouts};
 use fetchvp_server::{Server, ServerConfig};
 
-struct Reply {
-    status: u16,
-    body: String,
+const TIMEOUTS: Timeouts =
+    Timeouts { connect: Duration::from_secs(5), io: Duration::from_secs(30) };
+
+/// A reply body as JSON, panicking with the body when it is not.
+trait JsonBody {
+    fn json(&self) -> Json;
 }
 
-impl Reply {
+impl JsonBody for Reply {
     fn json(&self) -> Json {
         Json::parse(&self.body).unwrap_or_else(|e| panic!("bad JSON body: {e}\n{}", self.body))
     }
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.set_write_timeout(Some(Duration::from_secs(30))).unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write request head");
-    stream.write_all(body.as_bytes()).expect("write request body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("response is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("response has a blank line");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {head}"));
-    Reply { status, body: body.to_string() }
+    let body = body.unwrap_or("").as_bytes();
+    client::exchange(&addr.to_string(), method, path, &[], body, TIMEOUTS)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
 fn wait_for_job(addr: SocketAddr, id: u64) -> Json {

@@ -5,7 +5,8 @@ use fetchvp_core::sched::{Scheduler, VpDisposition};
 use fetchvp_core::{IdealConfig, IdealMachine, VpConfig};
 use fetchvp_isa::{AluOp, Cond, Instr, Program, ProgramBuilder, Reg};
 use fetchvp_testutil::{for_cases, Rng};
-use fetchvp_trace::{read_trace, trace_program, write_trace, BasicBlocks, Trace};
+use fetchvp_trace::{trace_program, BasicBlocks, Trace};
+use fetchvp_tracestore::{write_store, TraceStore};
 
 /// A random straight-line program over a handful of registers, closed with
 /// a counted loop so it produces a trace of meaningful length.
@@ -53,17 +54,21 @@ fn traces_are_well_formed() {
     });
 }
 
-/// Trace serialization round-trips bit-exactly.
+/// A random program's trace round-trips exactly through a `.fvps` store
+/// at a random chunk length.
 #[test]
 fn trace_io_round_trips() {
+    let path = std::env::temp_dir().join(format!("fetchvp-props-{}.fvps", std::process::id()));
     for_cases(48, |case, rng| {
         let program = random_program(rng);
         let t = trace_program(&program, 1_000);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).expect("write to memory");
-        let loaded = read_trace(buf.as_slice()).expect("read back");
-        assert_eq!(t, loaded, "case {case}");
+        let chunk_len = rng.range_u64(1, 400) as usize;
+        let file = std::fs::File::create(&path).expect("create temporary store");
+        write_store(&t, chunk_len, std::io::BufWriter::new(file)).expect("write store");
+        let loaded = TraceStore::open(&path).and_then(|s| s.to_trace()).expect("read back");
+        assert_eq!(t, loaded, "case {case} chunk_len={chunk_len}");
     });
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Basic blocks tile the program and each holds at most one control

@@ -1,5 +1,5 @@
 //! End-to-end tests for `fetchvp serve`: a real daemon on an ephemeral
-//! port, driven over raw `TcpStream`s exactly like an external client.
+//! port, driven through `http::client` exactly like an external client.
 //!
 //! The two contracts under test:
 //!
@@ -12,25 +12,23 @@
 //!    `202`-accepted still runs to completion.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use fetchvp_experiments::{bench, JobSpec, Sweep};
 use fetchvp_metrics::Json;
+use fetchvp_server::http::client::{self, Reply, Timeouts};
 use fetchvp_server::{Server, ServerConfig};
 
-/// A parsed HTTP response: status code, headers, body.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
+const TIMEOUTS: Timeouts =
+    Timeouts { connect: Duration::from_secs(5), io: Duration::from_secs(30) };
+
+/// A reply body as JSON, panicking with the body when it is not.
+trait JsonBody {
+    fn json(&self) -> Json;
 }
 
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-
+impl JsonBody for Reply {
     fn json(&self) -> Json {
         Json::parse(&self.body).unwrap_or_else(|e| panic!("bad JSON body: {e}\n{}", self.body))
     }
@@ -39,32 +37,9 @@ impl Reply {
 /// One HTTP/1.1 exchange over a fresh connection (the server's model:
 /// one request per connection, `Connection: close`).
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.set_write_timeout(Some(Duration::from_secs(30))).unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write request head");
-    stream.write_all(body.as_bytes()).expect("write request body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("response is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("response has a blank line");
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let headers = lines
-        .filter_map(|line| line.split_once(": "))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    Reply { status, headers, body: body.to_string() }
+    let body = body.unwrap_or("").as_bytes();
+    client::exchange(&addr.to_string(), method, path, &[], body, TIMEOUTS)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
 /// Polls `GET /jobs/<id>` until the job reaches a terminal status.
@@ -385,25 +360,45 @@ fn every_path_closes_the_connection_and_503_hints_a_retry() {
 }
 
 /// A POST /run whose `Content-Length` declares `declared` bytes but only
-/// sends a few — exercises the header-time body-size rejection.
+/// sends a few — exercises the header-time body-size rejection. The
+/// client always states its true body length, so this request is
+/// written by hand.
 fn request_with_declared_length(addr: SocketAddr, declared: usize) -> Reply {
     let mut stream = TcpStream::connect(addr).expect("connect to server");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let head = format!("POST /run HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {declared}\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(b"{}").expect("write partial body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("response is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("response has a blank line");
-    let mut lines = head.split("\r\n");
-    let status: u16 =
-        lines.next().and_then(|l| l.split_whitespace().nth(1)).unwrap().parse().unwrap();
-    let headers = lines
-        .filter_map(|line| line.split_once(": "))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    Reply { status, headers, body: body.to_string() }
+    let lying = format!("POST /run HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n{{}}");
+    stream.write_all(lying.as_bytes()).expect("write request");
+    client::read_reply(stream).expect("read response")
+}
+
+/// A client that hangs up mid-body gets no response and creates no job:
+/// the event loop counts an I/O error and closes the connection.
+#[test]
+fn a_request_cut_off_mid_body_is_dropped_without_a_job() {
+    let (addr, handle) =
+        start(ServerConfig { workers: 1, queue_depth: 8, ..ServerConfig::default() });
+
+    let mut stream = TcpStream::connect(addr).expect("connect to server");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(b"POST /run HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"experiment\":").unwrap();
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut byte = [0u8; 1];
+    let n = stream.read(&mut byte).expect("the server closes cleanly");
+    assert_eq!(n, 0, "a truncated request must get no response");
+
+    let metrics = request(addr, "GET", "/metrics", None).json();
+    let counter = |name: &str| {
+        metrics.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64).unwrap_or(0)
+    };
+    assert_eq!(counter("server.requests.io_error"), 1, "the cut-off request is counted");
+    assert_eq!(counter("server.queue.admitted"), 0, "no job may be created");
+    let health = request(addr, "GET", "/healthz", None).json();
+    for phase in ["queued", "running", "done", "failed"] {
+        let count = health.get("jobs").and_then(|j| j.get(phase)).and_then(Json::as_u64);
+        assert_eq!(count, Some(0), "jobs.{phase}");
+    }
+
+    shutdown(addr, handle);
 }
 
 /// The on-disk trace cache survives daemon restarts: a second server

@@ -1,5 +1,5 @@
 //! End-to-end tests for `GET /jobs/<id>/events`: a real daemon on an
-//! ephemeral port, streamed over raw `TcpStream`s through the HTTP/1.1
+//! ephemeral port, streamed through `http::client` and the HTTP/1.1
 //! chunked-transfer wire format — including the adversarial clients a
 //! public endpoint meets in practice.
 //!
@@ -23,28 +23,26 @@
 //!    streams `store_chunk` progress and returns a result byte-identical
 //!    to the same spec run in-process.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fetchvp_experiments::{JobSpec, Sweep};
 use fetchvp_metrics::Json;
+use fetchvp_server::http::client::{self, Reply, Timeouts};
 use fetchvp_server::{Server, ServerConfig};
 use fetchvp_tracestore::TraceDir;
 
-/// A parsed HTTP response: status code, headers, body.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
+const TIMEOUTS: Timeouts =
+    Timeouts { connect: Duration::from_secs(5), io: Duration::from_secs(60) };
+
+/// A reply body as JSON, panicking with the body when it is not.
+trait JsonBody {
+    fn json(&self) -> Json;
 }
 
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-
+impl JsonBody for Reply {
     fn json(&self) -> Json {
         Json::parse(&self.body).unwrap_or_else(|e| panic!("bad JSON body: {e}\n{}", self.body))
     }
@@ -52,36 +50,16 @@ impl Reply {
 
 /// One HTTP/1.1 exchange over a fresh connection.
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    stream.set_write_timeout(Some(Duration::from_secs(60))).unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write request head");
-    stream.write_all(body.as_bytes()).expect("write request body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_reply(&raw)
+    let body = body.unwrap_or("").as_bytes();
+    client::exchange(&addr.to_string(), method, path, &[], body, TIMEOUTS)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
-fn parse_reply(raw: &[u8]) -> Reply {
-    let text = String::from_utf8(raw.to_vec()).expect("response is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("response has a blank line");
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let headers = lines
-        .filter_map(|line| line.split_once(": "))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    Reply { status, headers, body: body.to_string() }
+/// Opens `GET /jobs/<id>/events` and returns the socket, reply unread.
+fn open_events(addr: SocketAddr, id: u64, io_timeout: Duration) -> TcpStream {
+    let path = format!("/jobs/{id}/events");
+    let timeouts = Timeouts { io: io_timeout, ..TIMEOUTS };
+    client::send(&addr.to_string(), "GET", &path, &[], b"", timeouts).expect("open the stream")
 }
 
 /// What a full read of one `GET /jobs/<id>/events` stream produced.
@@ -104,10 +82,7 @@ fn stream_events(
     pause: Option<Duration>,
     read_buf: usize,
 ) -> StreamedEvents {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let head = format!("GET /jobs/{id}/events HTTP/1.1\r\nHost: {addr}\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write request head");
+    let mut stream = open_events(addr, id, Duration::from_secs(120));
     let mut raw = Vec::new();
     let mut buf = vec![0u8; read_buf.max(1)];
     loop {
@@ -120,18 +95,22 @@ fn stream_events(
             std::thread::sleep(pause);
         }
     }
-    let text = String::from_utf8(raw).expect("stream is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("stream has a header block");
-    assert!(head.starts_with("HTTP/1.1 200"), "stream must answer 200: {head}");
-    assert!(
-        head.to_ascii_lowercase().contains("transfer-encoding: chunked"),
-        "stream must use chunked transfer: {head}"
+    // No Content-Length: the parsed body is the raw chunked stream.
+    let reply = client::parse_reply(&raw).expect("stream has a header block");
+    assert_eq!(reply.status, 200, "stream must answer 200: {:?}", reply.headers);
+    assert_eq!(
+        reply.header("transfer-encoding"),
+        Some("chunked"),
+        "stream must use chunked transfer: {:?}",
+        reply.headers
     );
-    assert!(
-        head.to_ascii_lowercase().contains("content-type: application/x-ndjson"),
-        "stream must be NDJSON: {head}"
+    assert_eq!(
+        reply.header("content-type"),
+        Some("application/x-ndjson"),
+        "stream must be NDJSON: {:?}",
+        reply.headers
     );
-    parse_ndjson(&dechunk(body))
+    parse_ndjson(&dechunk(&reply.body))
 }
 
 /// Reassembles an HTTP/1.1 chunked body (`<hexlen>\r\n<payload>\r\n`...
@@ -303,10 +282,7 @@ fn mid_stream_disconnects_leave_the_daemon_healthy() {
 
     // Connect, read a handful of bytes, hang up mid-stream.
     {
-        let mut stream = TcpStream::connect(addr).expect("connect to server");
-        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        let head = format!("GET /jobs/{id}/events HTTP/1.1\r\nHost: {addr}\r\n\r\n");
-        stream.write_all(head.as_bytes()).expect("write request head");
+        let mut stream = open_events(addr, id, Duration::from_secs(60));
         let mut buf = [0u8; 64];
         let n = stream.read(&mut buf).expect("read the start of the stream");
         assert!(n > 0, "server must start answering before we hang up");
