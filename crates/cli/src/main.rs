@@ -37,8 +37,7 @@
 //!   save-trace <benchmark> <file>   capture a trace to disk (chunked FVPS format,
 //!                                   streamed — works at the paper's 100M scale)
 //!   trace-gen <benchmark>           populate the content-addressed trace cache
-//!                                   (--trace-dir DIR or $FETCHVP_TRACE_DIR;
-//!                                   --out FILE streams to a plain file instead)
+//!                                   (--trace-dir DIR or $FETCHVP_TRACE_DIR)
 //!   trace-info <file.fvps>          print a saved trace's statistics (streams
 //!                                   the chunked store)
 //!   run-asm <file.s>                assemble, trace and simulate a program
@@ -53,14 +52,11 @@
 //!                                   export a cycle-accurate pipeline witness as
 //!                                   Chrome trace-event JSON (Perfetto-loadable)
 //!
-//! benchmarking (the perf-regression loop):
-//!   bench [--quick] [--repeat N] [--out FILE]
-//!                                   run the workload suite (best-of-N cell timing),
-//!                                   write BENCH_<date>.json
-//!   bench-compare <old> <new> [--threshold PCT]
-//!                                   diff two reports, exit nonzero on regression
-//!   profile                         per-phase wall-time breakdown
-//!                                   (trace generation / fetch / predict / schedule)
+//! counters report:
+//!   bench                           run the workload suite over every counted
+//!                                   subsystem and print its JSON counters report
+//!                                   (byte-identical across --jobs and --trace-dir;
+//!                                   timing lives in perfbench/)
 //!
 //! serving (simulation as a service):
 //!   serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -96,6 +92,7 @@
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use std::sync::Arc;
 
@@ -124,10 +121,9 @@ ablations:   ablation-banks ablation-window ablation-confidence \
              ablation-fetch ablation-penalty ablation-tc ablation-hints
              ablation-model ablation-seeds ablations
 trace files: save-trace <benchmark> <file> / trace-gen <benchmark> \
-             [--trace-dir DIR | --out FILE] / trace-info <file.fvps> / run-asm <file.s>
+             [--trace-dir DIR] / trace-info <file.fvps> / run-asm <file.s>
 tracing:     trace-viz <workload> [--cycles A..B] [--out FILE]
-benchmarks:  bench [--quick] [--repeat N] [--out FILE] / bench-compare \
-             <old.json> <new.json> [--threshold PCT] / profile
+counters:    bench [--trace-len N] [--seed S] [--jobs N] [--trace-dir DIR]
 serving:     serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--trace-dir DIR]
              [--result-cache N] [--peers HOST:PORT,...] / loadgen \
              [--addr HOST:PORT,...] [--rps N] [--duration SECONDS] [--spec-mix FILE]
@@ -170,8 +166,6 @@ const COMMANDS: &[&str] = &[
     "run-asm",
     "trace-viz",
     "bench",
-    "bench-compare",
-    "profile",
     "serve",
     "loadgen",
     "top",
@@ -186,10 +180,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "--jobs",
     "--csv",
     "--chart",
-    "--quick",
     "--out",
-    "--repeat",
-    "--threshold",
     "--cycles",
     "--addr",
     "--workers",
@@ -223,16 +214,11 @@ fn command_spec(name: &str) -> Option<CommandSpec> {
     let spec = |flags, positionals| Some(CommandSpec { flags, positionals });
     match name {
         "save-trace" => spec(&["--trace-len", "--seed"], 2),
-        "trace-gen" => spec(&["--trace-len", "--seed", "--trace-dir", "--out"], 1),
+        "trace-gen" => spec(&["--trace-len", "--seed", "--trace-dir"], 1),
         "trace-info" => spec(&[], 1),
         "run-asm" => spec(&["--trace-len", "--seed"], 1),
         "trace-viz" => spec(&["--trace-len", "--seed", "--jobs", "--cycles", "--out"], 1),
-        "bench" => spec(
-            &["--trace-len", "--seed", "--jobs", "--quick", "--repeat", "--out", "--trace-dir"],
-            0,
-        ),
-        "bench-compare" => spec(&["--threshold"], 2),
-        "profile" => spec(&["--trace-len", "--seed", "--csv"], 0),
+        "bench" => spec(&["--trace-len", "--seed", "--jobs", "--trace-dir"], 0),
         "serve" => spec(
             &["--addr", "--workers", "--queue-depth", "--trace-dir", "--result-cache", "--peers"],
             0,
@@ -352,14 +338,8 @@ struct Options {
     jobs: usize,
     csv: bool,
     chart: bool,
-    /// `bench`: use the reduced quick configuration.
-    quick: bool,
-    /// `bench`: output path (default `BENCH_<date>.json`).
+    /// `trace-viz`, `loadgen`, `fuzz`: output path.
     out: Option<String>,
-    /// `bench`: timing repetitions per cell (best wall time kept).
-    repeat: usize,
-    /// `bench-compare`: tolerated throughput drop, percent.
-    threshold: f64,
     /// `trace-viz`: restrict the export to events overlapping this
     /// inclusive cycle window.
     cycles: Option<(u64, u64)>,
@@ -416,10 +396,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut jobs = default_jobs();
     let mut csv = false;
     let mut chart = false;
-    let mut quick = false;
     let mut out = None;
-    let mut repeat = 3;
-    let mut threshold = 100.0 * bench::DEFAULT_THRESHOLD;
     let mut cycles = None;
     let mut addr = None;
     let mut workers = None;
@@ -453,34 +430,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad job count `{v}` (need an integer >= 1)"))?;
+                jobs = positive(v, "job count")?;
             }
             "--csv" => csv = true,
             "--chart" => chart = true,
-            "--quick" => quick = true,
             "--out" => {
                 let v = it.next().ok_or("--out needs a value")?;
                 out = Some(v.clone());
-            }
-            "--repeat" => {
-                let v = it.next().ok_or("--repeat needs a value")?;
-                repeat = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad repeat count `{v}` (need an integer >= 1)"))?;
-            }
-            "--threshold" => {
-                let v = it.next().ok_or("--threshold needs a value")?;
-                threshold = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &f64| t.is_finite() && t >= 0.0)
-                    .ok_or(format!("bad threshold `{v}` (need a percentage >= 0)"))?;
             }
             "--cycles" => {
                 let v = it.next().ok_or("--cycles needs a value (FIRST..LAST)")?;
@@ -495,37 +451,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
-                workers = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or(format!("bad worker count `{v}` (need an integer >= 1)"))?,
-                );
+                workers = Some(positive(v, "worker count")?);
             }
             "--queue-depth" => {
                 let v = it.next().ok_or("--queue-depth needs a value")?;
-                queue_depth = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or(format!("bad queue depth `{v}` (need an integer >= 1)"))?,
-                );
+                queue_depth = Some(positive(v, "queue depth")?);
             }
             "--cases" => {
                 let v = it.next().ok_or("--cases needs a value")?;
-                cases = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad case count `{v}` (need an integer >= 1)"))?;
+                cases = positive(v, "case count")?;
             }
             "--max-len" => {
                 let v = it.next().ok_or("--max-len needs a value")?;
-                max_len = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad max length `{v}` (need an integer >= 1)"))?;
+                max_len = positive(v, "max length")?;
             }
             "--replay" => {
                 let v = it.next().ok_or("--replay needs a repro tuple")?;
@@ -546,21 +484,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--rps" => {
                 let v = it.next().ok_or("--rps needs a value")?;
-                rps = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad request rate `{v}` (need an integer >= 1)"))?,
-                );
+                rps = Some(positive(v, "request rate")?);
             }
             "--duration" => {
                 let v = it.next().ok_or("--duration needs a value (seconds)")?;
-                duration = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad duration `{v}` (need whole seconds >= 1)"))?,
-                );
+                duration = Some(positive(v, "duration")?);
             }
             "--spec-mix" => {
                 let v = it.next().ok_or("--spec-mix needs a JSON file path")?;
@@ -568,21 +496,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--interval" => {
                 let v = it.next().ok_or("--interval needs a value (seconds)")?;
-                interval = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad interval `{v}` (need whole seconds >= 1)"))?,
-                );
+                interval = Some(positive(v, "interval")?);
             }
             "--count" => {
                 let v = it.next().ok_or("--count needs a value")?;
-                count = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad refresh count `{v}` (need an integer >= 1)"))?,
-                );
+                count = Some(positive(v, "refresh count")?);
             }
             other if !other.starts_with('-') => {
                 if experiment.is_none() {
@@ -602,10 +520,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         jobs,
         csv,
         chart,
-        quick,
         out,
-        repeat,
-        threshold,
         cycles,
         addr,
         workers,
@@ -623,6 +538,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         trace_dir,
         used_flags,
     })
+}
+
+/// Parses a flag value that must be a whole number >= 1. `noun` names the
+/// value in the error; the time flags (`duration`, `interval`) ask for
+/// whole seconds.
+fn positive<T: FromStr + PartialOrd + From<u8>>(value: &str, noun: &str) -> Result<T, String> {
+    let unit = if matches!(noun, "duration" | "interval") { "whole seconds" } else { "an integer" };
+    value
+        .parse()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("bad {noun} `{value}` (need {unit} >= 1)"))
 }
 
 fn emit(table: &Table, csv: bool) {
@@ -659,29 +586,13 @@ fn save_trace(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
 
 fn trace_gen(cfg: &ExperimentConfig, opts: &Options) -> Result<(), String> {
     let [bench] = opts.positionals.as_slice() else {
-        return Err("trace-gen needs: <benchmark> [--trace-dir DIR | --out FILE]".into());
+        return Err("trace-gen needs: <benchmark> [--trace-dir DIR]".into());
     };
     let workload =
         by_name(bench, &cfg.workloads).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
-    if let Some(path) = &opts.out {
-        let file = File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-        let summary = stream_program_to_store(
-            workload.program(),
-            bench,
-            cfg.trace_len,
-            DEFAULT_CHUNK_LEN,
-            BufWriter::new(file),
-        )
-        .map_err(|e| format!("write failed: {e}"))?;
-        println!(
-            "wrote {} instructions of `{bench}` to {path} ({} chunk(s), {} bytes)",
-            summary.instructions, summary.chunks, summary.bytes
-        );
-        return Ok(());
-    }
     let root = opts.resolved_trace_dir().or_else(TraceDir::default_root).ok_or(
-        "trace-gen needs a destination: --trace-dir DIR, $FETCHVP_TRACE_DIR, or --out FILE \
-         (no home directory found for the default ~/.cache/fetchvp)",
+        "trace-gen needs a destination: --trace-dir DIR or $FETCHVP_TRACE_DIR (no home \
+         directory found for the default ~/.cache/fetchvp); use save-trace for a plain file",
     )?;
     let dir = TraceDir::new(root);
     let key = TraceKey::benchmark(bench, cfg.workloads.seed, cfg.workloads.scale, cfg.trace_len);
@@ -755,31 +666,6 @@ fn run_asm(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_bench(sweep: &Sweep, opts: &Options) -> Result<(), String> {
-    let report = bench::run_repeat(sweep, opts.quick, opts.repeat);
-    let path = opts.out.clone().unwrap_or_else(|| report.filename());
-    let text = report.to_json().to_json() + "\n";
-    std::fs::write(&path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!(
-        "bench: {} workloads, {} simulated instructions in {:.2}s ({:.0} instr/s)",
-        report.workloads.len(),
-        report.total_instructions(),
-        report.wall_seconds,
-        report.sim_ips()
-    );
-    for w in &report.workloads {
-        println!("  {:<10} {:>12} instrs  {:>12.0} instr/s", w.name, w.instructions, w.sim_ips());
-    }
-    if let Some(c) = &report.trace_cache {
-        println!(
-            "trace cache: {} hit(s), {} miss(es), {} bytes written",
-            c.hits, c.misses, c.bytes
-        );
-    }
-    println!("wrote {path}");
-    Ok(())
-}
-
 fn run_trace_viz(sweep: &Sweep, opts: &Options) -> Result<(), String> {
     let [workload] = opts.positionals.as_slice() else {
         return Err("trace-viz needs: <workload> [--cycles FIRST..LAST] [--out FILE]".into());
@@ -794,43 +680,6 @@ fn run_trace_viz(sweep: &Sweep, opts: &Options) -> Result<(), String> {
     );
     println!("wrote {path} — load it in Perfetto (ui.perfetto.dev) or chrome://tracing");
     Ok(())
-}
-
-fn run_bench_compare(opts: &Options) -> Result<(), String> {
-    let [old_path, new_path] = opts.positionals.as_slice() else {
-        return Err("bench-compare needs: <old.json> <new.json>".into());
-    };
-    // A missing baseline is the expected state of a fresh checkout (the
-    // first bench run creates it), not a regression: warn and pass.
-    if !std::path::Path::new(old_path.as_str()).exists() {
-        eprintln!(
-            "warning: baseline `{old_path}` not found — nothing to compare against; \
-             run `fetchvp bench --out {old_path}` to create one"
-        );
-        println!("OK: no baseline, comparison skipped");
-        return Ok(());
-    }
-    let load = |path: &str| -> Result<Json, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let outcome = bench::compare(&load(old_path)?, &load(new_path)?, opts.threshold / 100.0)?;
-    for warning in &outcome.warnings {
-        eprintln!("warning: {warning}");
-    }
-    for line in &outcome.lines {
-        println!("{line}");
-    }
-    if outcome.passed() {
-        println!("OK: no throughput regression beyond {:.1}%", opts.threshold);
-        Ok(())
-    } else {
-        for regression in &outcome.regressions {
-            eprintln!("REGRESSION: {regression}");
-        }
-        Err(format!("{} throughput regression(s)", outcome.regressions.len()))
-    }
 }
 
 fn run_serve(opts: &Options) -> Result<(), String> {
@@ -996,11 +845,9 @@ fn run_one(name: &str, sweep: &Sweep, opts: &Options) -> Result<(), String> {
         "trace-gen" => return trace_gen(cfg, opts),
         "trace-info" => return trace_info(positionals),
         "run-asm" => return run_asm(cfg, positionals),
-        "bench" => return run_bench(sweep, opts),
-        "bench-compare" => return run_bench_compare(opts),
+        "bench" => println!("{}", bench::run_with(sweep).to_json().to_json()),
         "trace-viz" => return run_trace_viz(sweep, opts),
         "usefulness" => emit(&fetchvp_experiments::usefulness::run_with(sweep).to_table(), csv),
-        "profile" => emit(&fetchvp_experiments::profile::run(cfg).to_table(), csv),
         "serve" => return run_serve(opts),
         "loadgen" => return run_loadgen(opts),
         "top" => return run_top(opts),
@@ -1097,14 +944,8 @@ fn main() -> ExitCode {
     };
     // One sweep (and thus one trace cache) shared by everything this
     // invocation runs, including the `all`/`ablations` meta-experiments.
-    // `bench --quick` caps the trace length at the quick configuration
-    // (an explicit smaller `--trace-len` still wins).
-    let mut config = options.config;
-    if options.experiment == "bench" && options.quick {
-        config.trace_len = config.trace_len.min(ExperimentConfig::quick().trace_len);
-    }
     let trace_dir = options.resolved_trace_dir().map(|root| Arc::new(TraceDir::new(root)));
-    let sweep = Sweep::with_trace_dir(&config, trace_dir, options.jobs);
+    let sweep = Sweep::with_trace_dir(&options.config, trace_dir, options.jobs);
     match run_one(&options.experiment, &sweep, &options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1167,29 +1008,14 @@ mod tests {
 
     #[test]
     fn parses_bench_flags() {
-        let o = opts(&["bench", "--quick", "--out", "report.json"]).unwrap();
-        assert!(o.quick);
-        assert_eq!(o.out.as_deref(), Some("report.json"));
-        assert!((o.threshold - 15.0).abs() < 1e-12, "default threshold is 15%");
-        assert_eq!(o.repeat, 3, "bench defaults to best-of-3 timing");
-        assert!(opts(&["bench", "--out"]).is_err());
-    }
-
-    #[test]
-    fn parses_repeat() {
-        assert_eq!(opts(&["bench", "--repeat", "5"]).unwrap().repeat, 5);
-        assert!(opts(&["bench", "--repeat", "0"]).is_err());
-        assert!(opts(&["bench", "--repeat", "many"]).is_err());
-        assert!(opts(&["bench", "--repeat"]).is_err());
-    }
-
-    #[test]
-    fn parses_threshold() {
-        let o = opts(&["bench-compare", "a.json", "b.json", "--threshold", "7.5"]).unwrap();
-        assert_eq!(o.positionals, ["a.json", "b.json"]);
-        assert!((o.threshold - 7.5).abs() < 1e-12);
-        assert!(opts(&["bench-compare", "--threshold", "-3"]).is_err());
-        assert!(opts(&["bench-compare", "--threshold", "wat"]).is_err());
+        let o = opts(&["bench", "--trace-len", "2000", "--jobs", "2", "--trace-dir", "/tmp/x"])
+            .unwrap();
+        validate_invocation(&o).unwrap();
+        assert_eq!((o.config.trace_len, o.jobs), (2000, 2));
+        // bench prints its report to stdout like every other experiment.
+        let o = opts(&["bench", "--out", "report.json"]).unwrap();
+        let err = validate_invocation(&o).unwrap_err();
+        assert!(err.contains("does not take the flag `--out`"), "{err}");
     }
 
     #[test]
@@ -1341,12 +1167,12 @@ mod tests {
 
     #[test]
     fn rejects_inapplicable_known_flags() {
-        // Regression: `fetchvp table3-1 --quick` used to exit 0, silently
-        // ignoring the flag. Known flags must be rejected on subcommands
-        // that do not take them.
-        let o = opts(&["table3-1", "--quick"]).unwrap();
+        // Regression: a known flag on a subcommand that does not take it
+        // used to exit 0, silently ignoring the flag. Known flags must be
+        // rejected on subcommands that do not take them.
+        let o = opts(&["table3-1", "--workers", "2"]).unwrap();
         let err = validate_invocation(&o).unwrap_err();
-        assert!(err.contains("does not take the flag `--quick`"), "{err}");
+        assert!(err.contains("does not take the flag `--workers`"), "{err}");
 
         // Near-miss flags get the did-you-mean path.
         let o = opts(&["fuzz", "--cycles", "0..9"]).unwrap();
@@ -1356,7 +1182,7 @@ mod tests {
         // Applicable flags still pass on every surface they belong to.
         for line in [
             vec!["fig3-1", "--trace-len", "500", "--jobs", "2", "--csv", "--chart"],
-            vec!["bench", "--quick", "--repeat", "2", "--out", "r.json"],
+            vec!["bench", "--trace-len", "500", "--jobs", "2", "--trace-dir", "/tmp/x"],
             vec!["trace-viz", "gcc", "--cycles", "0..9", "--out", "t.json"],
             vec!["serve", "--addr", "127.0.0.1:0", "--workers", "2"],
             vec!["fuzz", "--cases", "8", "--seed", "7", "--max-len", "900"],
@@ -1383,7 +1209,7 @@ mod tests {
     fn unknown_subcommands_still_take_the_suggestion_path() {
         // validate_invocation must not shadow run_one's did-you-mean
         // handling for unknown subcommands.
-        let o = opts(&["benhc", "--quick"]).unwrap();
+        let o = opts(&["benhc", "--csv"]).unwrap();
         validate_invocation(&o).unwrap();
     }
 
@@ -1507,18 +1333,5 @@ mod tests {
         trace_gen(&o.config, &o).unwrap();
         assert_eq!(files(), 1, "second run reuses the cached store");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_compare_passes_when_the_baseline_is_missing() {
-        let o = opts(&["bench-compare", "/nonexistent/baseline.json", "new.json"]).unwrap();
-        run_one(&o.experiment, &Sweep::with_jobs(&o.config, o.jobs), &o).unwrap();
-    }
-
-    #[test]
-    fn bench_compare_needs_two_files() {
-        let o = opts(&["bench-compare", "only-one.json"]).unwrap();
-        let sweep = Sweep::with_jobs(&o.config, o.jobs);
-        assert!(run_one(&o.experiment, &sweep, &o).is_err());
     }
 }

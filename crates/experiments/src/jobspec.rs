@@ -23,8 +23,8 @@
 //! }
 //! ```
 //!
-//! `"bench"` runs the standard [`mod@bench`] suite and returns the full report
-//! document; every other experiment name runs the corresponding
+//! `"bench"` runs the standard [`mod@bench`] suite and returns its counters
+//! report; every other experiment name runs the corresponding
 //! table/figure runner and returns `{"experiment", "csv"}` with the
 //! table's CSV rendering.
 
@@ -48,8 +48,8 @@ pub const MAX_TRACE_LEN: u64 = 5_000_000;
 /// with a trace directory — the paper's 100M-instruction scale.
 pub const MAX_TRACE_LEN_OOC: u64 = 100_000_000;
 
-/// Default `trace_len` when the spec omits it — the `--quick` bench
-/// configuration, sized for interactive latency.
+/// Default `trace_len` when the spec omits it — the
+/// [`ExperimentConfig::quick`] length, sized for interactive latency.
 pub const DEFAULT_TRACE_LEN: u64 = 60_000;
 
 /// Upper bound on a served job's inner sweep workers.
@@ -225,14 +225,6 @@ impl JobSpec {
         fetchvp_tracestore::fnv1a(self.canonical().as_bytes())
     }
 
-    /// Whether this spec's result document is a pure function of the spec
-    /// (and therefore cacheable). Table and figure experiments are fully
-    /// deterministic; `bench` reports embed wall-clock measurements, so
-    /// replaying a stored bench report would serve stale timings.
-    pub fn deterministic_result(&self) -> bool {
-        self.experiment != "bench"
-    }
-
     /// The experiment configuration this spec runs under. Specs with equal
     /// configs can share one trace cache, which is what keeps the daemon's
     /// traces warm across requests.
@@ -242,20 +234,14 @@ impl JobSpec {
         cfg
     }
 
-    /// Whether this spec is at or below the `--quick` bench size.
-    pub fn is_quick(&self) -> bool {
-        self.trace_len <= ExperimentConfig::quick().trace_len
-    }
-
     /// Executes the spec on a [`Sweep`] (which must have been built from
     /// [`JobSpec::config`] — the server's sweep pool guarantees this).
     ///
-    /// The result document is deterministic for a given spec, except for
-    /// the wall-clock fields of a bench report; its counter sections are
-    /// byte-identical to an in-process run.
+    /// The result document is a pure function of the spec, byte-identical
+    /// to an in-process run, so the server may cache every result.
     pub fn run(&self, sweep: &Sweep) -> JobOutcome {
         if self.experiment == "bench" {
-            let report = bench::run_with(sweep, self.is_quick());
+            let report = bench::run_with(sweep);
             let mut metrics = Registry::new();
             for workload in &report.workloads {
                 metrics.merge(&workload.registry);
@@ -307,7 +293,6 @@ mod tests {
         assert_eq!(spec.experiment, "bench");
         assert_eq!(spec.trace_len, DEFAULT_TRACE_LEN);
         assert_eq!(spec.jobs, 1);
-        assert!(spec.is_quick());
     }
 
     #[test]
@@ -362,13 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_results_are_not_cacheable() {
-        assert!(!JobSpec::default().deterministic_result(), "bench has wall-clock fields");
-        let table = JobSpec { experiment: "table3-1".to_string(), ..JobSpec::default() };
-        assert!(table.deterministic_result());
-    }
-
-    #[test]
     fn out_of_core_lengths_need_a_capable_experiment_and_a_trace_dir() {
         let big = MAX_TRACE_LEN + 1;
         let parse =
@@ -405,21 +383,12 @@ mod tests {
         let spec = parse_spec(r#"{"experiment": "bench", "trace_len": 2000, "seed": 3}"#).unwrap();
         let sweep = Sweep::with_jobs(&spec.config(), 1);
         let outcome = spec.run(&sweep);
-        let direct = bench::run_with(&Sweep::with_jobs(&spec.config(), 1), spec.is_quick());
-        for w in &direct.workloads {
-            let served = outcome
-                .result
-                .get_path("workloads")
-                .and_then(|s| s.get(w.name))
-                .and_then(|s| s.get("counters"))
-                .expect("served counters");
-            assert_eq!(
-                served.to_json(),
-                w.registry.counters_json().to_json(),
-                "{}: served counters differ from direct run",
-                w.name
-            );
-        }
+        let direct = bench::run_with(&Sweep::with_jobs(&spec.config(), 1));
+        assert_eq!(
+            outcome.result.to_json(),
+            direct.to_json().to_json(),
+            "served report differs from the direct run"
+        );
         for namespace in ["trace", "sched", "predictor", "machine"] {
             assert!(
                 outcome.metrics.namespaces().contains(&namespace),

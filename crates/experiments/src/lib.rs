@@ -20,9 +20,7 @@
 //! design-space sweeps beyond the paper
 //! (prediction-table banks, window size, classification threshold,
 //! predictor kind, trace-cache partial matching). The [`mod@bench`] module is
-//! the perf-regression suite and the [`profile`] module attributes its wall
-//! time to the simulator's phases (trace generation / fetch / predict /
-//! schedule). The [`usefulness`] module measures the §3.3 mechanism
+//! the deterministic counters report over every counted subsystem. The [`usefulness`] module measures the §3.3 mechanism
 //! directly — which correct predictions actually shorten the critical path
 //! at fetch-4 vs fetch-40 — and the [`traceviz`] module exports a
 //! cycle-accurate pipeline witness as Chrome trace-event JSON for Perfetto.
@@ -64,7 +62,6 @@ pub mod fig5_2;
 pub mod fig5_3;
 pub mod fuzz;
 pub mod jobspec;
-pub mod profile;
 pub mod report;
 pub mod sweep;
 pub mod table3_1;

@@ -2,7 +2,7 @@
 //! dictionary lookup forever.
 //!
 //! Just as LDBP-style last-value reuse short-circuits work whose outcome
-//! is already determined, a deterministic job spec fully determines its
+//! is already determined, a job spec fully determines its
 //! result document, so the daemon keys finished results by the FNV-1a
 //! hash of the spec's canonical JSON
 //! ([`fetchvp_experiments::JobSpec::canonical_hash`]). Lookups check a
@@ -10,10 +10,10 @@
 //! directory next to the trace store, so a restarted daemon still answers
 //! warm specs without re-simulating.
 //!
-//! Only deterministic results are cached
-//! ([`JobSpec::deterministic_result`](fetchvp_experiments::JobSpec::deterministic_result)):
-//! `bench` reports embed wall-clock measurements and are always re-run.
-//! Failed jobs are never cached — a panic is not a result.
+//! Every experiment's result document is a pure function of its spec
+//! (`bench` included: its report carries counters, not timings), so every
+//! finished result is cached by the same rule. Failed jobs are never
+//! cached — a panic is not a result.
 
 use std::fs;
 use std::io::Write;

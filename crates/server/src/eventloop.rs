@@ -331,11 +331,6 @@ impl Conn {
                 state.metrics.counter("server.requests", "malformed.400", 1);
                 Response::json(400, error_body(why))
             }
-            // try_parse does no IO; an Io error cannot surface here.
-            Err(RequestError::Io(_)) => {
-                self.done = true;
-                return;
-            }
         };
         self.start_write(response, state);
     }

@@ -9,8 +9,6 @@
 //! on header-block and body sizes so an adversarial peer cannot balloon
 //! memory.
 
-use std::io;
-
 /// Maximum bytes of request line + headers accepted before `431`-style
 /// rejection (we answer `413` — close enough for a five-endpoint API).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -40,9 +38,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RequestError {
-    /// Socket-level failure (timeout, reset); the connection is dropped
-    /// without a response.
-    Io(io::Error),
     /// The head or body exceeded its size cap → `413`.
     TooLarge(&'static str),
     /// The bytes were not parseable HTTP → `400`.
@@ -265,7 +260,7 @@ pub mod client {
     ///
     /// Sized from measured bodies of `fetchvp serve` at the default trace
     /// length: the largest single document is a finished `bench` job's
-    /// `GET /jobs/<id>` (26.5 KB); one member's share of `/fleet/metrics`
+    /// `GET /jobs/<id>` (25.6 KB); one member's share of `/fleet/metrics`
     /// with a full default queue (32 live jobs) is 17 KB. 4 MiB is over
     /// 150× the former and covers a merge across some 240 such members.
     pub const MAX_RESPONSE_BYTES: usize = 4 << 20;

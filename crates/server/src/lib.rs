@@ -6,7 +6,7 @@
 //! control, a worker pool executes it through the shared [`Sweep`] runner,
 //! and `GET /jobs/<id>` returns the result — with workload traces staying
 //! **warm across requests**, so the second job against the same
-//! configuration skips tracing entirely, and **deterministic results
+//! configuration skips tracing entirely, and **results
 //! cached by content** ([`cache`]), so a repeated spec skips simulation
 //! entirely.
 //!
@@ -441,12 +441,9 @@ fn worker_loop(state: &Shared) {
                     "job_latency_ms",
                     started.elapsed().as_millis() as u64,
                 );
-                // Deterministic results are cached by content so the next
-                // identical spec is a lookup; bench reports (wall-clock
-                // measurements) and failures are never cached.
-                if spec.deterministic_result() {
-                    state.results.insert(spec.canonical_hash(), spec.canonical(), &outcome.result);
-                }
+                // Results are cached by content so the next identical spec
+                // is a lookup; failures are never cached.
+                state.results.insert(spec.canonical_hash(), spec.canonical(), &outcome.result);
                 state.jobs.finish(id, outcome.result);
             }
             Err(_) => {
@@ -1006,20 +1003,18 @@ fn submit(state: &Shared, request: &Request, local_only: bool) -> Routed {
         }
     }
 
-    // Result cache: a deterministic spec answered before is a dictionary
-    // lookup — the result is inlined and the response is self-contained
-    // (nothing to poll), so no job record is minted and a flood of warm
-    // cache hits cannot grow the job table.
-    if spec.deterministic_result() {
-        if let Some(result) = state.results.get(hash, &spec.canonical()) {
-            state.metrics.counter("server.jobs", "cached", 1);
-            let body = Json::object([
-                status_pair("done"),
-                ("cached".to_string(), Json::Bool(true)),
-                ("result".to_string(), result),
-            ]);
-            return Routed::Ready(Response::json(200, body.to_json()));
-        }
+    // Result cache: a spec answered before is a dictionary lookup — the
+    // result is inlined and the response is self-contained (nothing to
+    // poll), so no job record is minted and a flood of warm cache hits
+    // cannot grow the job table.
+    if let Some(result) = state.results.get(hash, &spec.canonical()) {
+        state.metrics.counter("server.jobs", "cached", 1);
+        let body = Json::object([
+            status_pair("done"),
+            ("cached".to_string(), Json::Bool(true)),
+            ("result".to_string(), result),
+        ]);
+        return Routed::Ready(Response::json(200, body.to_json()));
     }
 
     let id = state.jobs.create(spec.clone());
@@ -1277,17 +1272,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_jobs_bypass_the_result_cache() {
+    fn repeated_bench_specs_hit_the_result_cache() {
         let state = test_state(4);
         let spec = r#"{"experiment": "bench", "trace_len": 300}"#;
-        assert_eq!(post(&state, "/run", spec).status, 202);
+        assert_eq!(post(&state, "/run", spec).status, 202, "cold cache: the job must queue");
         state.queue.close();
         worker_loop(&state);
-        // Identical bench spec: routed back to the queue path (never
-        // answered inline) — its report carries wall-clock measurements.
-        assert_ne!(post(&state, "/run", spec).status, 200);
-        let counters = state.results.counters();
-        assert_eq!((counters.hits, counters.misses), (0, 0), "bench never consults the cache");
+        let done = Json::parse(&get(&state, "/jobs/1").body).unwrap();
+        assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
+        let uncached_result = done.get("result").unwrap().to_json();
+
+        // The bench report is a pure function of its spec, so the repeat
+        // is answered inline from the cache, byte-identical to the run.
+        let second = post(&state, "/run", spec);
+        assert_eq!(second.status, 200);
+        let doc = Json::parse(&second.body).unwrap();
+        assert_eq!(doc.get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("result").unwrap().to_json(), uncached_result);
+        assert_eq!(state.results.counters().hits, 1);
     }
 
     #[test]

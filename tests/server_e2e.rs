@@ -82,23 +82,31 @@ fn served_jobs_are_byte_identical_to_in_process_runs() {
     assert_eq!(health.status, 200);
     assert_eq!(health.json().get("status").and_then(Json::as_str), Some("ok"));
 
-    // 8 jobs from 4 client threads: two distinct specs (different seeds,
-    // one parallel inner sweep) so the sweep pool serves both hits and
-    // misses while workers execute concurrently.
-    let specs = [
-        r#"{"experiment": "bench", "trace_len": 2000, "seed": 7}"#,
-        r#"{"experiment": "bench", "trace_len": 2000, "seed": 11, "jobs": 2}"#,
-    ];
+    // 8 jobs from 8 client threads: two sweep configurations (seeds 7 and
+    // 11), each submitted at four inner-sweep widths. Every spec is
+    // distinct, so none is answered from the result cache, while the two
+    // configurations make the sweep pool serve both hits and misses as
+    // workers execute concurrently.
+    let seeds = [7, 11];
+    let specs: Vec<String> = (0..8)
+        .map(|i| {
+            let (seed, jobs) = (seeds[i % 2], 1 + i / 2);
+            format!(
+                r#"{{"experiment": "bench", "trace_len": 2000, "seed": {seed}, "jobs": {jobs}}}"#
+            )
+        })
+        .collect();
     let ids: Vec<(usize, u64)> = std::thread::scope(|s| {
-        let submitters: Vec<_> = (0..8)
-            .map(|i| {
-                let spec = specs[i % specs.len()];
+        let submitters: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
                 s.spawn(move || {
                     let reply = request(addr, "POST", "/run", Some(spec));
                     assert_eq!(reply.status, 202, "submit {i} rejected: {}", reply.body);
                     let doc = reply.json();
                     assert_eq!(doc.get("status").and_then(Json::as_str), Some("queued"));
-                    (i % specs.len(), doc.get("job").and_then(Json::as_u64).expect("job id"))
+                    (i % seeds.len(), doc.get("job").and_then(Json::as_u64).expect("job id"))
                 })
             })
             .collect();
@@ -106,12 +114,12 @@ fn served_jobs_are_byte_identical_to_in_process_runs() {
     });
     assert_eq!(ids.len(), 8);
 
-    // The oracle: each spec run in-process on a serial sweep.
-    let oracles: Vec<_> = specs
+    // The oracle: each configuration run in-process on a serial sweep.
+    let oracles: Vec<_> = specs[..seeds.len()]
         .iter()
         .map(|text| {
             let spec = JobSpec::from_json(&Json::parse(text).unwrap()).unwrap();
-            let report = bench::run_with(&Sweep::with_jobs(&spec.config(), 1), spec.is_quick());
+            let report = bench::run_with(&Sweep::with_jobs(&spec.config(), 1));
             (spec, report)
         })
         .collect();
@@ -131,6 +139,11 @@ fn served_jobs_are_byte_identical_to_in_process_runs() {
             "job {id} echoed the wrong spec"
         );
         let result = doc.get("result").expect("done job has a result");
+        assert_eq!(
+            result.to_json(),
+            report.to_json().to_json(),
+            "job {id}: served report differs from the serial run"
+        );
         for w in &report.workloads {
             let served = result
                 .get_path("workloads")
@@ -198,14 +211,19 @@ fn full_queue_answers_503_and_accepted_jobs_still_finish() {
         start(ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() });
 
     // A single worker and a one-slot queue: a burst of slow-ish jobs must
-    // overflow. Submissions happen from four threads at once so rejection
-    // is exercised under contention, not just sequentially.
-    let spec = r#"{"experiment": "bench", "trace_len": 20000, "seed": 5}"#;
+    // overflow. Submissions happen from twelve threads at once so rejection
+    // is exercised under contention, not just sequentially. Each spec is
+    // distinct, so a job finishing mid-burst cannot turn a later
+    // submission into a result-cache hit.
     let replies: Vec<(u16, Option<String>, Option<u64>)> = std::thread::scope(|s| {
         let clients: Vec<_> = (0..12)
-            .map(|_| {
+            .map(|seed| {
                 s.spawn(move || {
-                    let reply = request(addr, "POST", "/run", Some(spec));
+                    let spec = format!(
+                        r#"{{"experiment": "bench", "trace_len": 20000, "seed": {}}}"#,
+                        5 + seed
+                    );
+                    let reply = request(addr, "POST", "/run", Some(&spec));
                     let retry = reply.header("Retry-After").map(str::to_string);
                     let id = reply.json().get("job").and_then(Json::as_u64);
                     (reply.status, retry, id)
@@ -403,15 +421,19 @@ fn a_request_cut_off_mid_body_is_dropped_without_a_job() {
 
 /// The on-disk trace cache survives daemon restarts: a second server
 /// pointed at the same `--trace-dir` must replay every trace from disk
-/// without generating anything (all hits, zero misses, and a
-/// `trace_cache` section in the bench report).
+/// without generating anything (all hits, zero misses and zero bytes
+/// written on the `server.trace_cache.*` gauges of `/metrics`).
 #[test]
 fn warm_trace_dir_serves_a_restarted_daemon_without_regenerating() {
     let dir = std::env::temp_dir().join(format!("fetchvp-server-e2e-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = r#"{"experiment": "bench", "trace_len": 2000, "seed": 13}"#;
+    // The restart submits the same traces at a different inner-sweep width:
+    // a distinct spec, so the result cache (which spills next to the trace
+    // directory) cannot answer it and the job must replay every trace.
+    let cold_spec = r#"{"experiment": "bench", "trace_len": 2000, "seed": 13}"#;
+    let warm_spec = r#"{"experiment": "bench", "trace_len": 2000, "seed": 13, "jobs": 2}"#;
 
-    let trace_cache_gauges = |addr: SocketAddr| -> (u64, u64) {
+    let trace_cache_gauges = |addr: SocketAddr| -> (u64, u64, u64) {
         let doc = request(addr, "GET", "/metrics", None).json();
         let gauge = |name: &str| {
             doc.get("gauges")
@@ -419,43 +441,41 @@ fn warm_trace_dir_serves_a_restarted_daemon_without_regenerating() {
                 .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("metrics missing gauge {name}")) as u64
         };
-        (gauge("server.trace_cache.hits"), gauge("server.trace_cache.misses"))
+        (
+            gauge("server.trace_cache.hits"),
+            gauge("server.trace_cache.misses"),
+            gauge("server.trace_cache.bytes"),
+        )
+    };
+    let run = |addr: SocketAddr, spec: &str| -> Json {
+        let reply = request(addr, "POST", "/run", Some(spec));
+        assert_eq!(reply.status, 202, "{}", reply.body);
+        let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
+        let doc = wait_for_job(addr, id);
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
+        doc.get("result").expect("done job has a result").clone()
     };
 
     // Cold daemon: every benchmark trace is generated to disk once.
     let (addr, handle) =
         start(ServerConfig { workers: 1, trace_dir: Some(dir.clone()), ..ServerConfig::default() });
-    let reply = request(addr, "POST", "/run", Some(spec));
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
-    let doc = wait_for_job(addr, id);
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    let cold = doc
-        .get_path("result.trace_cache")
-        .expect("bench report carries a trace_cache section when served with a trace dir");
-    let cold_misses = cold.get("misses").and_then(Json::as_u64).unwrap();
-    assert_eq!(cold.get("hits").and_then(Json::as_u64), Some(0), "cold cache cannot hit");
+    let cold = run(addr, cold_spec);
+    let (hits, cold_misses, bytes) = trace_cache_gauges(addr);
+    assert_eq!(hits, 0, "cold cache cannot hit");
     assert!(cold_misses > 0, "cold run must generate every trace");
-    assert!(cold.get("bytes").and_then(Json::as_u64).unwrap() > 0);
-    assert_eq!(trace_cache_gauges(addr), (0, cold_misses), "/metrics mirrors the counters");
+    assert!(bytes > 0, "cold run writes the traces");
     shutdown(addr, handle);
 
     // Restarted daemon, same directory: zero generation, all hits.
     let (addr, handle) =
         start(ServerConfig { workers: 1, trace_dir: Some(dir.clone()), ..ServerConfig::default() });
-    let reply = request(addr, "POST", "/run", Some(spec));
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
-    let doc = wait_for_job(addr, id);
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    let warm = doc.get_path("result.trace_cache").expect("trace_cache section");
+    let warm = run(addr, warm_spec);
     assert_eq!(
-        warm.get("misses").and_then(Json::as_u64),
-        Some(0),
-        "warm trace dir must not regenerate anything"
+        trace_cache_gauges(addr),
+        (cold_misses, 0, 0),
+        "warm trace dir must not regenerate anything (hits, misses, bytes)"
     );
-    assert_eq!(warm.get("hits").and_then(Json::as_u64), Some(cold_misses));
-    assert_eq!(warm.get("bytes").and_then(Json::as_u64), Some(0), "no bytes written when warm");
+    assert_eq!(warm.to_json(), cold.to_json(), "replayed traces change the report");
     shutdown(addr, handle);
 
     std::fs::remove_dir_all(&dir).expect("remove scratch trace dir");
